@@ -9,11 +9,14 @@ use crate::source::WorkspaceModel;
 /// `(file, function names)` pairs. These run once (or more) per sampled
 /// memory reference — billions of times per sweep — so a heap
 /// allocation inside them is a per-reference cost by construction. The
-/// batched kernels (`access_batch`, `sample_batch`, the `RefBatch`
-/// refill methods, `drain_batch`) are audited on the same footing:
-/// they run once per batch, but a `collect()`/`Vec::new()` inside one
-/// is a per-batch-refill allocation the SoA buffer reuse exists to
-/// eliminate (`push`/`resize` on pre-sized buffers are fine).
+/// batched kernels (`access_batch_rows`, `CpuHierarchy::access_batch`,
+/// the `RefBatch` refill methods, `drain_batch`) are audited on the same
+/// footing: they run once per batch, but a `collect()`/`Vec::new()`
+/// inside one is a per-batch-refill allocation the SoA buffer reuse
+/// exists to eliminate (`push`/`resize` on pre-sized buffers are fine).
+///
+/// Every entry must name a file that exists and a non-test `fn` in it:
+/// an entry that matches nothing audits nothing, so the pass reports it.
 pub const HOT_PATH_AUDITED: &[(&str, &[&str])] = &[
     (
         "crates/memsim/src/trace.rs",
@@ -25,7 +28,8 @@ pub const HOT_PATH_AUDITED: &[(&str, &[&str])] = &[
             "drain_batch",
             "user_data_ref",
             "os_data_ref",
-            "sync_directory",
+            "replay_fill",
+            "replay_write",
             "continue_run",
             "draw_dwell",
         ],
@@ -38,7 +42,6 @@ pub const HOT_PATH_AUDITED: &[(&str, &[&str])] = &[
         "crates/memsim/src/cache.rs",
         &[
             "access",
-            "access_batch",
             "access_batch_rows",
             "access_batch_lru_rows",
             "lru_rows_loop",
@@ -51,15 +54,15 @@ pub const HOT_PATH_AUDITED: &[(&str, &[&str])] = &[
     ),
     (
         "crates/memsim/src/dist.rs",
-        &["sample", "sample_batch", "search_table", "search_window"],
+        &["sample", "search_table", "search_window"],
     ),
     (
         "crates/memsim/src/tlb.rs",
-        &["access", "access_batch", "miss_fill"],
+        &["access", "miss_fill"],
     ),
     (
         "crates/memsim/src/coherence.rs",
-        &["write_slice", "has_remote_holders"],
+        &["write", "has_remote_holders"],
     ),
 ];
 
@@ -69,7 +72,9 @@ const ALLOC_TOKENS: &[&str] = &[".collect(", ".collect::<", ".to_vec()", "Vec::n
 /// Forbids per-reference heap allocation (`collect()`, `to_vec()`,
 /// `Vec::new()`) inside the [`HOT_PATH_AUDITED`] functions — the inner
 /// loop the whole sweep's wall-clock stands on. Deliberate cases carry a
-/// `// odb-analyzer: allow(hot_path_alloc)` line escape.
+/// `// odb-analyzer: allow(hot_path_alloc)` line escape. Stale entries
+/// (a missing file, or a name no non-test `fn` declares) are violations
+/// too, so the audit cannot silently stop reaching its code.
 pub struct HotPathAllocPass;
 
 impl Pass for HotPathAllocPass {
@@ -85,8 +90,34 @@ impl Pass for HotPathAllocPass {
         let Some(krate) = model.get("memsim") else { return };
         for (path, functions) in HOT_PATH_AUDITED {
             let Some(file) = krate.src_files.iter().find(|f| f.rel_path == *path) else {
+                ctx.push(Violation::new(
+                    Lint::HotPathAlloc,
+                    path,
+                    0,
+                    "audited hot-path file does not exist, so its entry in \
+                     `HOT_PATH_AUDITED` audits nothing; update the list"
+                        .to_owned(),
+                ));
                 continue;
             };
+            for name in *functions {
+                let fn_paren = format!("fn {name}(");
+                let fn_generic = format!("fn {name}<");
+                let declared = file.lines.iter().any(|l| {
+                    !l.in_test && (l.code.contains(&fn_paren) || l.code.contains(&fn_generic))
+                });
+                if !declared {
+                    ctx.push(Violation::new(
+                        Lint::HotPathAlloc,
+                        &file.rel_path,
+                        0,
+                        format!(
+                            "audited hot-path function `{name}` is not declared here, so its \
+                             entry in `HOT_PATH_AUDITED` audits nothing; update the list"
+                        ),
+                    ));
+                }
+            }
             let code_lines: Vec<&str> = file.lines.iter().map(|l| l.code.as_str()).collect();
             let in_hot = mark_fn_bodies(&code_lines, functions);
             for (i, line) in file.lines.iter().enumerate() {

@@ -7,6 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use odb_analyzer::passes::hot_path_alloc::HOT_PATH_AUDITED;
 use odb_analyzer::report::Lint;
 
 static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -40,8 +41,27 @@ impl Drop for TempTree {
     }
 }
 
-/// A minimal clean workspace covering every determinism-audited crate,
-/// with both baseline sections ratcheted to zero.
+/// Stubs every file and function the hot-path audit names, so each entry
+/// has code to reach.
+fn write_hot_path_stubs(t: &TempTree) {
+    let mut lib = String::from("//! Minimal.\npub fn touch() -> u32 { 1 }\n");
+    for (path, functions) in HOT_PATH_AUDITED {
+        let module = path
+            .trim_start_matches("crates/memsim/src/")
+            .trim_end_matches(".rs");
+        lib.push_str(&format!("pub mod {module};\n"));
+        let stubs: String = functions
+            .iter()
+            .map(|name| format!("pub fn {name}() {{}}\n"))
+            .collect();
+        t.write(path, &format!("//! Stub.\n{stubs}"));
+    }
+    t.write("crates/memsim/src/lib.rs", &lib);
+}
+
+/// A minimal clean workspace covering every determinism-audited crate
+/// (memsim carrying the hot-path audit's functions as stubs), with both
+/// baseline sections ratcheted to zero.
 fn clean_tree(tag: &str) -> TempTree {
     let t = TempTree::new(tag);
     t.write(
@@ -58,6 +78,7 @@ fn clean_tree(tag: &str) -> TempTree {
             "//! Minimal.\npub fn touch() -> u32 { 1 }\n",
         );
     }
+    write_hot_path_stubs(&t);
     t.write(
         "crates/analyzer/baseline.toml",
         "[panic_sites]\ncore = 0\ndes = 0\nengine = 0\nmemsim = 0\n\n\

@@ -8,6 +8,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use odb_analyzer::passes::hot_path_alloc::HOT_PATH_AUDITED;
 use odb_analyzer::report::Lint;
 
 static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -45,8 +46,41 @@ fn crate_manifest(name: &str) -> String {
     format!("[package]\nname = \"odb-{name}\"\nversion = \"0.1.0\"\nedition = \"2021\"\n")
 }
 
+/// The memsim path of the `trace.rs` hot-path audit entry.
+const TRACE_RS: &str = "crates/memsim/src/trace.rs";
+
+/// A stub source file declaring every audited function of `path` except
+/// `omit`, followed by `extra`.
+fn audited_stub(path: &str, omit: &str, extra: &str) -> String {
+    let (_, functions) = HOT_PATH_AUDITED
+        .iter()
+        .find(|(p, _)| *p == path)
+        .expect("audited path");
+    let mut text = String::from("//! Stub.\n");
+    for name in functions.iter().filter(|n| **n != omit) {
+        text.push_str(&format!("pub fn {name}() {{}}\n"));
+    }
+    text.push_str(extra);
+    text
+}
+
+/// Stubs every file and function the hot-path audit names, so each entry
+/// has code to reach.
+fn write_hot_path_stubs(t: &TempTree) {
+    let mut lib = String::from("//! Minimal.\npub fn touch() -> u32 { 1 }\n");
+    for (path, _) in HOT_PATH_AUDITED {
+        let module = path
+            .trim_start_matches("crates/memsim/src/")
+            .trim_end_matches(".rs");
+        lib.push_str(&format!("pub mod {module};\n"));
+        t.write(path, &audited_stub(path, "", ""));
+    }
+    t.write("crates/memsim/src/lib.rs", &lib);
+}
+
 /// A minimal clean workspace: the audited crates exist with panic-free
-/// libraries, plus a zeroed baseline.
+/// libraries, memsim carries the hot-path audit's functions as stubs,
+/// plus a zeroed baseline.
 fn clean_tree(tag: &str) -> TempTree {
     let t = TempTree::new(tag);
     t.write(
@@ -60,6 +94,7 @@ fn clean_tree(tag: &str) -> TempTree {
             "//! Minimal.\npub fn touch() -> u32 { 1 }\n",
         );
     }
+    write_hot_path_stubs(&t);
     t.write(
         "crates/analyzer/baseline.toml",
         "[panic_sites]\ncore = 0\ndes = 0\nengine = 0\nmemsim = 0\n",
@@ -282,14 +317,14 @@ fn missing_baseline_with_sites_trips() {
 fn seeded_hot_path_allocation_trips() {
     let t = clean_tree("hotalloc");
     t.write(
-        "crates/memsim/src/lib.rs",
-        "//! Minimal.\npub mod trace;\npub fn touch() -> u32 { 1 }\n",
-    );
-    t.write(
-        "crates/memsim/src/trace.rs",
-        "//! Doc.\npub fn run_chunk(hs: &mut [H]) {\n\
-         \x20   let refs: Vec<&mut H> = hs.iter_mut().collect();\n\
-         \x20   drop(refs);\n}\n",
+        TRACE_RS,
+        &audited_stub(
+            TRACE_RS,
+            "run_chunk",
+            "pub fn run_chunk(hs: &mut [H]) {\n\
+             \x20   let refs: Vec<&mut H> = hs.iter_mut().collect();\n\
+             \x20   drop(refs);\n}\n",
+        ),
     );
     let fired = lints_fired(&t.root);
     assert!(fired.contains(&Lint::HotPathAlloc), "fired: {fired:?}");
@@ -297,13 +332,13 @@ fn seeded_hot_path_allocation_trips() {
     // The same allocation outside an audited function is fine.
     let t2 = clean_tree("hotalloc-ok");
     t2.write(
-        "crates/memsim/src/lib.rs",
-        "//! Minimal.\npub mod trace;\npub fn touch() -> u32 { 1 }\n",
-    );
-    t2.write(
-        "crates/memsim/src/trace.rs",
-        "//! Doc.\npub fn setup(hs: &mut [H]) -> Vec<&mut H> {\n\
-         \x20   hs.iter_mut().collect()\n}\n",
+        TRACE_RS,
+        &audited_stub(
+            TRACE_RS,
+            "",
+            "pub fn setup(hs: &mut [H]) -> Vec<&mut H> {\n\
+             \x20   hs.iter_mut().collect()\n}\n",
+        ),
     );
     let analysis = odb_analyzer::analyze(&t2.root).expect("analysis runs");
     assert!(
@@ -315,15 +350,15 @@ fn seeded_hot_path_allocation_trips() {
     // The line escape silences an audited function's allocation.
     let t3 = clean_tree("hotalloc-escape");
     t3.write(
-        "crates/memsim/src/lib.rs",
-        "//! Minimal.\npub mod trace;\npub fn touch() -> u32 { 1 }\n",
-    );
-    t3.write(
-        "crates/memsim/src/trace.rs",
-        "//! Doc.\npub fn run_chunk(hs: &mut [H]) {\n\
-         \x20   // odb-analyzer: allow(hot_path_alloc) — justified\n\
-         \x20   let refs: Vec<&mut H> = hs.iter_mut().collect();\n\
-         \x20   drop(refs);\n}\n",
+        TRACE_RS,
+        &audited_stub(
+            TRACE_RS,
+            "run_chunk",
+            "pub fn run_chunk(hs: &mut [H]) {\n\
+             \x20   // odb-analyzer: allow(hot_path_alloc) — justified\n\
+             \x20   let refs: Vec<&mut H> = hs.iter_mut().collect();\n\
+             \x20   drop(refs);\n}\n",
+        ),
     );
     let analysis = odb_analyzer::analyze(&t3.root).expect("analysis runs");
     assert!(
@@ -331,6 +366,45 @@ fn seeded_hot_path_allocation_trips() {
         "expected clean, got: {:?}",
         analysis.violations
     );
+}
+
+/// An audit entry that reaches no code is itself a violation: a renamed
+/// function, one declared only in test code, and a deleted file each
+/// trip the gate, naming the stale entry.
+#[test]
+fn seeded_stale_hot_path_entries_trip() {
+    let stale = |t: &TempTree, path: &str, needle: &str| {
+        let analysis = odb_analyzer::analyze(&t.root).expect("analysis runs");
+        assert!(
+            analysis.violations.iter().any(|v| v.lint == Lint::HotPathAlloc
+                && v.path == path
+                && v.message.contains(needle)),
+            "expected a stale-entry violation for {path} ({needle}), got: {:?}",
+            analysis.violations
+        );
+    };
+
+    let t = clean_tree("hotstale-renamed");
+    t.write(
+        TRACE_RS,
+        &audited_stub(TRACE_RS, "run_chunk", "pub fn run_chunk_renamed() {}\n"),
+    );
+    stale(&t, TRACE_RS, "`run_chunk`");
+
+    let t2 = clean_tree("hotstale-test-only");
+    t2.write(
+        TRACE_RS,
+        &audited_stub(
+            TRACE_RS,
+            "run_chunk",
+            "#[cfg(test)]\nmod tests {\n    fn run_chunk() {}\n}\n",
+        ),
+    );
+    stale(&t2, TRACE_RS, "`run_chunk`");
+
+    let t3 = clean_tree("hotstale-file");
+    fs::remove_file(t3.root.join("crates/memsim/src/tlb.rs")).expect("remove tlb.rs");
+    stale(&t3, "crates/memsim/src/tlb.rs", "does not exist");
 }
 
 #[test]

@@ -7,8 +7,9 @@
 //! determinism smoke test CI leans on), and emits `BENCH_sweep.json`
 //! with per-phase wall-clock (`phase_seconds`: characterize — split
 //! into batch-refill vs kernel time — vs engine DES) per entry plus the
-//! `refs_per_sec` substrate microbenches (the three-level hierarchy
-//! walk and the Zipf draw path, each in scalar and batched form), plus
+//! `refs_per_sec` substrate microbenches (`hierarchy_walk`,
+//! `hierarchy_walk_batch` and `zipf_draw`: the three-level hierarchy
+//! walk in scalar and batched form, and the Zipf draw), plus
 //! a `within_point` dimension timing one large characterization point
 //! at within-point jobs 1 vs N (bit-identity asserted, throughput
 //! recorded as `refs_per_sec`; stamped `parallel_unverified` on a
@@ -62,13 +63,19 @@ struct Entry {
 }
 
 /// The `refs_per_sec` throughput microbenches: the per-reference code
-/// paths the characterization hot loop is made of, each measured in its
-/// scalar and batched form, reported as references (draws) per second so
-/// the artifact captures substrate throughput alongside end-to-end sweep
-/// wall-clock. The `*_batch` entries cover exactly what their scalar
-/// counterparts cover (the batched walk includes the batched draw and
-/// the batch refill, like the scalar walk includes the scalar draw), so
-/// the scalar-to-batch ratio is the batching speedup.
+/// paths the characterization hot loop is made of, reported as
+/// references (draws) per second so the artifact captures substrate
+/// throughput alongside end-to-end sweep wall-clock:
+///
+/// * `hierarchy_walk` — one Zipf draw plus the scalar L1→L2→L3 walk;
+/// * `hierarchy_walk_batch` — the same draws pushed into a full batch
+///   and walked by `access_batch`, per reference; it covers exactly
+///   what `hierarchy_walk` covers, so the ratio of the two is the
+///   batching speedup;
+/// * `zipf_draw` — the Zipf draw alone.
+///
+/// Nothing reads this section back, so a baseline carrying other
+/// entries (older ones have `zipf_draw_batch`) still works as one.
 fn refs_per_sec() -> Vec<(&'static str, f64)> {
     let zipf = Zipf::new(1 << 16, 0.9).expect("zipf");
     // Three-level hierarchy walk: L1→L2→L3 data reference with a
@@ -80,17 +87,16 @@ fn refs_per_sec() -> Vec<(&'static str, f64)> {
         black_box(hierarchy.access_data(addr, false, Space::User))
     });
     // The same walk through the SoA batch kernels, a full batch per
-    // measured iteration: batched draw → refill → `access_batch`.
+    // measured iteration: draw and refill (as `trace.rs` does) →
+    // `access_batch`.
     let mut hierarchy = CpuHierarchy::new(&SystemConfig::xeon_quad()).expect("hierarchy");
     let mut rng = SmallRng::seed_from_u64(0xBE_11C4);
-    let mut draws = vec![0u64; DEFAULT_BATCH_CAPACITY];
     let mut batch = RefBatch::with_capacity(DEFAULT_BATCH_CAPACITY);
     let mut out = BatchOutcomes::new();
     let (walk_batch_ns, _) = measure_ns(|| {
-        zipf.sample_batch(&mut rng, &mut draws);
         batch.clear();
-        for &d in &draws {
-            batch.push_data(d * 64, false, Space::User);
+        for _ in 0..DEFAULT_BATCH_CAPACITY {
+            batch.push_data(zipf.sample(&mut rng) * 64, false, Space::User);
         }
         hierarchy.access_batch(&batch, &mut out);
         black_box(out.fills().len())
@@ -99,19 +105,10 @@ fn refs_per_sec() -> Vec<(&'static str, f64)> {
     // The Zipf draw alone: accelerated CDF search plus RNG.
     let mut rng = SmallRng::seed_from_u64(0xD1_57);
     let (draw_ns, _) = measure_ns(|| black_box(zipf.sample(&mut rng)));
-    // The batched draw: same distribution, one buffer per iteration.
-    let mut rng = SmallRng::seed_from_u64(0xD1_57);
-    let mut buf = vec![0u64; DEFAULT_BATCH_CAPACITY];
-    let (draw_batch_ns, _) = measure_ns(|| {
-        zipf.sample_batch(&mut rng, &mut buf);
-        black_box(buf[DEFAULT_BATCH_CAPACITY - 1])
-    });
-    let draw_batch_ns = draw_batch_ns / DEFAULT_BATCH_CAPACITY as f64;
     vec![
         ("hierarchy_walk", 1e9 / walk_ns.max(1e-3)),
         ("hierarchy_walk_batch", 1e9 / walk_batch_ns.max(1e-3)),
         ("zipf_draw", 1e9 / draw_ns.max(1e-3)),
-        ("zipf_draw_batch", 1e9 / draw_batch_ns.max(1e-3)),
     ]
 }
 

@@ -23,15 +23,15 @@
 //! [`FillEvent`]/[`WriteEvent`] lists which the caller replays in
 //! sequence-number order after the walk. That deferral is exact because
 //! directory writes touch only the directory and *remote* caches
-//! ([`crate::coherence::Directory::write_slice`] never invalidates the
+//! ([`crate::coherence::Directory::write`] never invalidates the
 //! writer's own hierarchy), and remote caches execute no accesses of
 //! their own until their next interleaving chunk — batches never span
 //! the chunk boundary, which remains the coherence serialization point.
 //!
 //! The scalar walk survives as the oracle: randomized equivalence suites
-//! in this module, `cache.rs`, `tlb.rs` and `trace.rs` pin the batched
-//! kernels to the scalar results event-for-event, so the `results/`
-//! drift gate certifies the refactor instead of trusting it.
+//! in `cache.rs`, `hierarchy.rs` and `trace.rs` pin the batched kernels
+//! to the scalar results event-for-event, so the `results/` drift gate
+//! certifies the refactor instead of trusting it.
 
 use crate::cache::AccessRow;
 use crate::hierarchy::{L3Fill, Space};
@@ -201,8 +201,6 @@ pub struct BatchOutcomes {
     pub(crate) writes: Vec<WriteEvent>,
     /// Per-access result rows of the most recent per-level pass.
     pub(crate) row_scratch: Vec<AccessRow>,
-    /// Data-column indices that missed the TLB.
-    pub(crate) tlb_miss_idx: Vec<u32>,
     /// Data-column indices that missed L1D.
     pub(crate) data_miss_idx: Vec<u32>,
     /// Code-column indices that missed the trace cache.
@@ -250,7 +248,6 @@ impl BatchOutcomes {
         self.fills.clear();
         self.writes.clear();
         self.row_scratch.clear();
-        self.tlb_miss_idx.clear();
         self.data_miss_idx.clear();
         self.code_miss_idx.clear();
         self.l2_addrs.clear();

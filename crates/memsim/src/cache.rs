@@ -106,22 +106,6 @@ pub(crate) struct AccessRow {
 }
 
 impl AccessRow {
-    /// The [`Access`] this row denotes.
-    #[inline]
-    pub fn to_access(self) -> Access {
-        if self.hit {
-            Access::Hit
-        } else {
-            Access::Miss {
-                evicted: self.evicted_valid.then_some(Evicted {
-                    addr: self.evicted_addr,
-                    dirty: self.evicted_dirty,
-                }),
-                coherence: self.coherence,
-            }
-        }
-    }
-
     /// The row denoting `access` (fallback-path conversion).
     #[inline]
     fn from_access(access: Access) -> Self {
@@ -183,9 +167,6 @@ pub struct SetAssocCache {
     // per-reference hot path, so hash order can never leak into sim state.
     // odb-analyzer: allow(unordered_iteration)
     invalidated: std::collections::HashSet<u64>,
-    /// Reusable row buffer backing the public [`SetAssocCache::access_batch`]
-    /// (the hierarchy passes its own, shared across levels).
-    row_scratch: Vec<AccessRow>,
 }
 
 impl SetAssocCache {
@@ -213,7 +194,6 @@ impl SetAssocCache {
             policy: PolicyState::new(policy),
             // odb-analyzer: allow(unordered_iteration) — see field above
             invalidated: std::collections::HashSet::new(),
-            row_scratch: Vec::new(),
         }
     }
 
@@ -293,8 +273,9 @@ impl SetAssocCache {
     /// set walk is a single fused pass ([`Self::walk_set`]) that resolves
     /// the hit *and* the victim candidate together instead of re-scanning
     /// on a miss. The naive two-pass version survives as
-    /// `access_reference` under `cfg(test)` and a proptest pins the two
-    /// access-for-access identical.
+    /// `access_reference` under `cfg(test)`, and
+    /// `access_equivalence_randomized` pins the two access-for-access
+    /// identical.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
         self.clock += 1;
@@ -361,8 +342,11 @@ impl SetAssocCache {
     }
 
     /// Streams `addrs`/`writes` through the cache in order, appending one
-    /// [`Access`] per element to `out` (elements beyond the shorter of
-    /// the two input slices are ignored).
+    /// [`AccessRow`] per element to `rows` (elements beyond the shorter of
+    /// the two input slices are ignored). This is the kernel the
+    /// hierarchy's per-level passes consume directly — plain-data rows
+    /// let both the kernel and its consumers run select-style, with no
+    /// enum discriminant to branch on.
     ///
     /// Bit-exact with calling [`SetAssocCache::access`] per element: the
     /// cache's clock, stamps, victim choices, and coherence
@@ -370,28 +354,9 @@ impl SetAssocCache {
     /// kernel presents in the identical order. True-LRU (the
     /// configuration every simulated level uses by default) runs a
     /// specialized branch-free inner loop with the replacement-policy
-    /// dispatch hoisted out; other policies delegate to the scalar walk
-    /// element-by-element, which is trivially exact.
-    #[inline]
-    pub fn access_batch(&mut self, addrs: &[u64], writes: &[bool], out: &mut Vec<Access>) {
-        let mut rows = std::mem::take(&mut self.row_scratch);
-        rows.clear();
-        self.access_batch_rows(addrs, writes, &mut rows);
-        out.reserve(rows.len());
-        for row in &rows {
-            out.push(row.to_access());
-        }
-        self.row_scratch = rows;
-    }
-
-    /// [`SetAssocCache::access_batch`] in flat-row form: appends one
-    /// [`AccessRow`] per element. This is the kernel the hierarchy's
-    /// per-level passes consume directly — plain-data rows let both the
-    /// kernel and its consumers run select-style, with no enum
-    /// discriminant to branch on. Dispatches to the branch-free LRU loop
-    /// when its preconditions hold (LRU policy, 1–256 ways, packed
-    /// stamps nowhere near overflow) and otherwise to the scalar walk
-    /// per element.
+    /// dispatch hoisted out, when its preconditions hold (1–256 ways,
+    /// packed stamps nowhere near overflow); other policies delegate to
+    /// the scalar walk element-by-element, which is trivially exact.
     #[inline]
     pub(crate) fn access_batch_rows(
         &mut self,
@@ -630,11 +595,12 @@ impl SetAssocCache {
 
 #[cfg(test)]
 impl SetAssocCache {
-    /// The pre-optimization two-pass `access`, kept verbatim: find the hit
-    /// with one scan, then re-scan with `min_by_key` for the victim. The
-    /// `access_equivalence` proptest pins the optimized single-pass walk
-    /// access-for-access identical to this on random geometries, policies,
-    /// and address streams.
+    /// The pre-optimization two-pass `access`, kept verbatim as the one
+    /// reference for this layer: find the hit with one scan, then re-scan
+    /// with `min_by_key` for the victim. `access_equivalence_randomized`
+    /// pins the fused scalar walk and `batch_equivalence_randomized` the
+    /// batched row kernels access-for-access identical to this on random
+    /// geometries, policies, and address streams.
     fn access_reference(&mut self, addr: u64, write: bool) -> Access {
         self.clock += 1;
         self.stats.accesses += 1;
@@ -702,7 +668,6 @@ impl SetAssocCache {
 mod tests {
     use super::*;
     use odb_core::config::CacheGeometry;
-    use proptest::prelude::*;
 
     fn small() -> SetAssocCache {
         // 4 sets × 2 ways × 64 B = 512 B.
@@ -926,11 +891,10 @@ mod tests {
         }
     }
 
-    /// Exhaustive randomized form of `access_equivalence` that runs even
-    /// where the `proptest` crate is stubbed out: walks many random
-    /// geometries × every policy × random address/write/invalidate
-    /// streams and requires the optimized `access` and the naive
-    /// `access_reference` to agree access-for-access.
+    /// Walks many random geometries × every policy × random
+    /// address/write/invalidate streams and requires the fused scalar
+    /// `access` and the two-pass `access_reference` to agree
+    /// access-for-access.
     #[test]
     fn access_equivalence_randomized() {
         use crate::policy::ReplacementPolicy;
@@ -963,56 +927,84 @@ mod tests {
         }
     }
 
-    /// The batched kernel must produce the identical `Access` sequence
-    /// and leave identical state to the scalar loop — across random
-    /// geometries, every policy (exercising both the LRU-specialized and
-    /// the delegating branch), uneven chunk sizes (partial final
-    /// batches), and coherence invalidations landing between chunks.
+    /// The [`Access`] a batched row denotes (`evicted_addr` is ignored
+    /// unless `evicted_valid` is set).
+    fn row_access(row: AccessRow) -> Access {
+        if row.hit {
+            Access::Hit
+        } else {
+            Access::Miss {
+                evicted: row.evicted_valid.then_some(Evicted {
+                    addr: row.evicted_addr,
+                    dirty: row.evicted_dirty,
+                }),
+                coherence: row.coherence,
+            }
+        }
+    }
+
+    /// The batched row kernel produces the identical access sequence,
+    /// statistics, and tag/stamp/flag arrays as the two-pass
+    /// `access_reference` — across the monomorphized associativities
+    /// ({1,2,4,8,12,16}) and the runtime-`ways` fallback (3), every
+    /// policy (LRU takes the branch-free loop, the others the
+    /// per-element fallback), uneven chunk sizes (batch size 1 and
+    /// partial final batches), and coherence invalidations landing
+    /// between chunks. This is the layer-level guarantee that neither
+    /// the per-width `scan_set_fixed` specializations nor the deferred
+    /// coherence post-pass can change results.
     #[test]
     fn batch_equivalence_randomized() {
         use crate::policy::ReplacementPolicy;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0x0DB_BA7C4);
-        for trial in 0..120 {
-            let line = 1u64 << rng.gen_range(5u32..8);
-            let sets = 1u64 << rng.gen_range(0u32..5);
-            let ways = rng.gen_range(1u64..5);
-            let policy = ReplacementPolicy::ALL[rng.gen_range(0..ReplacementPolicy::ALL.len())];
-            let geometry =
-                CacheGeometry::new(line * sets * ways, line as u32, ways as u32).unwrap();
-            let mut scalar = SetAssocCache::with_policy(geometry, policy);
-            let mut batched = SetAssocCache::with_policy(geometry, policy);
-            let chunk = rng.gen_range(1usize..40); // includes batch size 1
-            for _ in 0..6 {
-                let len = rng.gen_range(0..2 * chunk + 7); // partial finals
-                let addrs: Vec<u64> = (0..len).map(|_| rng.gen_range(0u64..1 << 14)).collect();
-                let writes: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.3)).collect();
-                if rng.gen_bool(0.5) {
-                    let addr = rng.gen_range(0u64..1 << 14);
-                    assert_eq!(scalar.invalidate(addr), batched.invalidate(addr));
+        for &ways in &[1u64, 2, 3, 4, 8, 12, 16] {
+            for policy in ReplacementPolicy::ALL {
+                let line = 1u64 << rng.gen_range(5u32..8); // 32..128 B
+                let sets = 1u64 << rng.gen_range(0u32..5); // 1..16 sets
+                let geometry =
+                    CacheGeometry::new(line * sets * ways, line as u32, ways as u32).unwrap();
+                // Addresses span four times the capacity: hits, capacity
+                // misses and resident invalidation targets all occur.
+                let span = 4 * line * sets * ways;
+                let mut reference = SetAssocCache::with_policy(geometry, policy);
+                let mut batched = SetAssocCache::with_policy(geometry, policy);
+                for round in 0..6 {
+                    let len = rng.gen_range(0usize..400);
+                    let chunk = rng.gen_range(1usize..80);
+                    let addrs: Vec<u64> = (0..len).map(|_| rng.gen_range(0..span)).collect();
+                    let writes: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.3)).collect();
+                    let mut rows = Vec::new();
+                    let mut expect = Vec::new();
+                    for (a, w) in addrs.chunks(chunk).zip(writes.chunks(chunk)) {
+                        if rng.gen_bool(0.3) {
+                            let addr = addrs[rng.gen_range(0..len)];
+                            assert_eq!(reference.invalidate(addr), batched.invalidate(addr));
+                        }
+                        batched.access_batch_rows(a, w, &mut rows);
+                        expect.extend(
+                            a.iter().zip(w).map(|(&a, &w)| reference.access_reference(a, w)),
+                        );
+                    }
+                    let got: Vec<Access> = rows.into_iter().map(row_access).collect();
+                    let tag = format!("ways {ways} {policy} round {round}");
+                    assert_eq!(got, expect, "{tag}: access sequence diverged");
+                    assert_eq!(batched.stats(), reference.stats(), "{tag}: stats diverged");
+                    assert_eq!(batched.tags, reference.tags, "{tag}: tags diverged");
+                    assert_eq!(batched.stamps, reference.stamps, "{tag}: stamps diverged");
+                    assert_eq!(batched.flags, reference.flags, "{tag}: flags diverged");
                 }
-                let mut got = Vec::new();
-                for (a, w) in addrs.chunks(chunk).zip(writes.chunks(chunk)) {
-                    batched.access_batch(a, w, &mut got);
-                }
-                let expect: Vec<Access> = addrs
-                    .iter()
-                    .zip(&writes)
-                    .map(|(&a, &w)| scalar.access(a, w))
-                    .collect();
-                assert_eq!(got, expect, "trial {trial}: {policy} access sequence diverged");
-                assert_eq!(scalar.stats(), batched.stats(), "trial {trial}: stats diverged");
             }
         }
     }
 
-    /// The batched LRU loop produces the identical access sequence,
-    /// statistics, and final array state as the per-access scalar walk
-    /// — across the monomorphized associativities ({1,2,4,8,12,16}),
-    /// the runtime-`ways` fallback (3), interleaved invalidations, and
-    /// uneven batch chunking. This is the layer-level guarantee that the
-    /// per-width `scan_set_fixed` specializations cannot change results.
+    /// The batched LRU row kernel agrees with the production scalar path
+    /// `access` (the fused `walk_set`), not only with `access_reference`:
+    /// identical access sequence, statistics and tag/stamp/flag arrays
+    /// across the monomorphized associativities ({1,2,4,8,12,16}), the
+    /// runtime-`ways` fallback (3), interleaved invalidations and uneven
+    /// batch chunking.
     #[test]
     fn batch_matches_scalar_per_associativity() {
         use rand::rngs::SmallRng;
@@ -1034,10 +1026,11 @@ mod tests {
                     let addr = rng.gen_range(0u64..1 << 16);
                     assert_eq!(scalar.invalidate(addr), batched.invalidate(addr));
                 }
-                let mut got = Vec::new();
+                let mut rows = Vec::new();
                 for (a, w) in addrs.chunks(chunk).zip(writes.chunks(chunk)) {
-                    batched.access_batch(a, w, &mut got);
+                    batched.access_batch_rows(a, w, &mut rows);
                 }
+                let got: Vec<Access> = rows.into_iter().map(row_access).collect();
                 let expect: Vec<Access> = addrs
                     .iter()
                     .zip(&writes)
@@ -1052,67 +1045,43 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// Accesses never panic and stats stay consistent for arbitrary
-        /// address streams.
-        #[test]
-        fn stats_consistency(
-            addrs in proptest::collection::vec((0u64..1 << 20, any::<bool>()), 1..500)
-        ) {
+    /// Accesses never panic and stats stay consistent for arbitrary
+    /// address streams with interleaved invalidations.
+    #[test]
+    fn stats_consistency() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x0DB_57A7);
+        for trial in 0..64 {
+            let len = rng.gen_range(1u64..500);
             let mut c = small();
-            for &(a, w) in &addrs {
-                c.access(a, w);
+            for _ in 0..len {
+                let addr = rng.gen_range(0u64..1 << 20);
+                if rng.gen_ratio(1, 8) {
+                    c.invalidate(addr);
+                }
+                c.access(addr, rng.gen_bool(0.5));
             }
             let s = c.stats();
-            prop_assert_eq!(s.accesses, addrs.len() as u64);
-            prop_assert!(s.misses <= s.accesses);
-            prop_assert!(s.coherence_misses <= s.misses);
-            prop_assert!(s.writebacks <= s.misses);
+            assert_eq!(s.accesses, len, "trial {trial}");
+            assert!(s.misses <= s.accesses, "trial {trial}: {s:?}");
+            assert!(s.coherence_misses <= s.misses, "trial {trial}: {s:?}");
+            assert!(s.writebacks <= s.misses, "trial {trial}: {s:?}");
         }
+    }
 
-        /// Immediately repeating an access always hits.
-        #[test]
-        fn temporal_locality_always_hits(addr in 0u64..1 << 30) {
+    /// Immediately repeating an access always hits.
+    #[test]
+    fn temporal_locality_always_hits() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x0DB_7E4B);
+        for _ in 0..1_000 {
+            let addr = rng.gen_range(0u64..1 << 30);
             let mut c = small();
             c.access(addr, false);
-            prop_assert!(c.access(addr, false).is_hit());
-            prop_assert!(c.contains(addr));
-        }
-
-        /// The optimized single-pass `access` is access-for-access
-        /// identical to the naive two-pass `access_reference` — same
-        /// hit/miss classification, same victim, same writeback flag —
-        /// across random geometries, policies, address streams, and
-        /// interleaved coherence invalidations.
-        #[test]
-        fn access_equivalence(
-            line_shift in 5u32..8,          // 32..128 B lines
-            sets_shift in 0u32..5,          // 1..16 sets
-            ways in 1u64..5,
-            policy_idx in 0usize..crate::policy::ReplacementPolicy::ALL.len(),
-            ops in proptest::collection::vec(
-                (0u64..1 << 14, any::<bool>(), 0u8..16),
-                1..400,
-            )
-        ) {
-            let line = 1u64 << line_shift;
-            let sets = 1u64 << sets_shift;
-            let geometry =
-                CacheGeometry::new(line * sets * ways, line as u32, ways as u32).unwrap();
-            let policy = crate::policy::ReplacementPolicy::ALL[policy_idx];
-            let mut fast = SetAssocCache::with_policy(geometry, policy);
-            let mut naive = SetAssocCache::with_policy(geometry, policy);
-            for &(addr, write, inv) in &ops {
-                // Occasionally invalidate first, so coherence-miss
-                // classification is exercised on both paths.
-                if inv == 0 {
-                    prop_assert_eq!(fast.invalidate(addr), naive.invalidate(addr));
-                }
-                let a = fast.access(addr, write);
-                let b = naive.access_reference(addr, write);
-                prop_assert_eq!(a, b, "diverged at addr {:#x} write {}", addr, write);
-            }
-            prop_assert_eq!(fast.stats(), naive.stats());
+            assert!(c.access(addr, false).is_hit(), "addr {addr:#x}");
+            assert!(c.contains(addr), "addr {addr:#x}");
         }
     }
 }

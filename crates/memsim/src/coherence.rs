@@ -30,7 +30,7 @@ impl Invalidate for SetAssocCache {
     }
 }
 
-/// Mutable references forward, so `Directory::write_slice` accepts both
+/// Mutable references forward, so [`Directory::write`] accepts both
 /// owned slices (`&mut [CpuHierarchy]`) and slices of references
 /// (`&mut [&mut T]`) without the caller collecting a reference `Vec`.
 impl<T: Invalidate + ?Sized> Invalidate for &mut T {
@@ -39,10 +39,14 @@ impl<T: Invalidate + ?Sized> Invalidate for &mut T {
     }
 }
 
+/// Processors a [`Directory`] can track: holder sets are one `u64` bit
+/// per CPU. [`crate::trace::Characterizer::new`] rejects larger systems.
+pub(crate) const MAX_CPUS: u32 = u64::BITS;
+
 /// Tracks which processors hold which lines and broadcasts invalidations.
 #[derive(Debug, Default)]
 pub struct Directory {
-    /// Line address → bitmask of holders (bit per CPU, up to 64).
+    /// Line address → bitmask of holders (bit per CPU, up to [`MAX_CPUS`]).
     // Point-access only (entry/get/get_mut/remove, never iterated) on the
     // per-reference hot path, so hash order can never leak into sim state.
     // odb-analyzer: allow(unordered_iteration)
@@ -111,22 +115,12 @@ impl Directory {
     }
 
     /// Handles a write by `writer` to `line_addr`: invalidates the line in
-    /// every other holder's L3 (and implicitly its inner levels, which the
-    /// caller flushes via the same call). Returns the number of remote
-    /// copies invalidated.
+    /// every other holder's cache (a [`crate::hierarchy::CpuHierarchy`]
+    /// flushes its inner levels too), where `caches[cpu]` is CPU `cpu`'s.
+    /// Returns the number of remote copies invalidated. The hot path in
+    /// `trace.rs` passes its hierarchy slice directly; a slice of
+    /// references works as well.
     pub fn write<T: Invalidate>(
-        &mut self,
-        writer: usize,
-        line_addr: u64,
-        caches: &mut [&mut T],
-    ) -> u32 {
-        self.write_slice(writer, line_addr, caches)
-    }
-
-    /// [`Directory::write`] over a plain slice of caches. The hot path in
-    /// `trace.rs` passes its hierarchies directly, avoiding the per-write
-    /// `Vec<&mut _>` collect that `write`'s reference-slice shape forces.
-    pub fn write_slice<T: Invalidate>(
         &mut self,
         writer: usize,
         line_addr: u64,

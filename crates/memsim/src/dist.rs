@@ -249,90 +249,6 @@ impl Zipf {
         }
     }
 
-    /// Fills `out` with `out.len()` consecutive draws — bit-identical to
-    /// calling [`Zipf::sample`] that many times on the same RNG (each
-    /// slot consumes exactly one `rng.gen::<f64>()`, in order), but with
-    /// the representation match hoisted out of the loop so the table /
-    /// closed-form inversion runs as a tight batch kernel.
-    #[inline]
-    pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
-        match &self.repr {
-            Repr::Table(table) => {
-                // Two passes: draw all uniforms first (the only
-                // cross-iteration dependence is the RNG chain), then run
-                // the independent table searches. Staging the bits in
-                // `out` itself keeps the kernel allocation-free, and the
-                // dependence-free second loop lets the out-of-order core
-                // overlap the table loads of many draws at once.
-                for slot in out.iter_mut() {
-                    *slot = rng.gen::<f64>().to_bits();
-                }
-                if table.accel.is_empty() {
-                    for slot in out.iter_mut() {
-                        let u = f64::from_bits(*slot);
-                        *slot = (Self::search_table(table, u)).min(self.n - 1);
-                    }
-                    return;
-                }
-                // Tile the searches and split each tile into a bucket
-                // gather (one independent `accel` load pair per draw —
-                // a pure load stream the core can overlap many-deep)
-                // followed by the window searches, whose `cdf` loads
-                // then also pipeline across draws. The tile scratch
-                // lives on the stack, keeping the kernel allocation-
-                // free; results are bit-identical to `search_table`
-                // because the passes compute the same bucket and the
-                // same window, just batched.
-                const TILE: usize = 64;
-                let cdf = &table.cdf;
-                let k = table.accel.len() - 1;
-                let pow2 = k.is_power_of_two();
-                let mut lo_t = [0u32; TILE];
-                let mut hi_t = [0u32; TILE];
-                for chunk in out.chunks_mut(TILE) {
-                    for (&bits, (lo, hi)) in chunk
-                        .iter()
-                        .zip(lo_t.iter_mut().zip(hi_t.iter_mut()))
-                    {
-                        let u = f64::from_bits(bits);
-                        let mut j = ((u * k as f64) as usize).min(k - 1);
-                        if !pow2 {
-                            let down = u < j as f64 / k as f64;
-                            let up = !down & (j + 1 < k) & (u >= (j + 1) as f64 / k as f64);
-                            j = j - usize::from(down) + usize::from(up);
-                        }
-                        *lo = table.accel[j];
-                        *hi = table.accel[j + 1];
-                    }
-                    for (slot, (&lo, &hi)) in
-                        chunk.iter_mut().zip(lo_t.iter().zip(hi_t.iter()))
-                    {
-                        let u = f64::from_bits(*slot);
-                        let lo = lo as usize;
-                        let hi = (hi as usize + 1).min(cdf.len());
-                        *slot = (Self::search_window(cdf, lo, hi, u) as u64).min(self.n - 1);
-                    }
-                }
-            }
-            Repr::Approx { s, n_pow } => {
-                let one_minus_s = 1.0 - s;
-                let inv = 1.0 / one_minus_s;
-                for slot in out.iter_mut() {
-                    let u: f64 = rng.gen();
-                    let x = (1.0 + u * (n_pow - 1.0)).powf(inv);
-                    *slot = ((x.floor() as u64).saturating_sub(1)).min(self.n - 1);
-                }
-            }
-            Repr::Harmonic { ln_n } => {
-                for slot in out.iter_mut() {
-                    let u: f64 = rng.gen();
-                    let x = (u * ln_n).exp();
-                    *slot = ((x.floor() as u64).saturating_sub(1)).min(self.n - 1);
-                }
-            }
-        }
-    }
-
     /// The `f64::total_cmp` order as a monotone integer key: comparing
     /// keys with `<` equals comparing the floats with `total_cmp` (the
     /// standard sign-magnitude-to-two's-complement bit trick), which
@@ -376,12 +292,9 @@ impl Zipf {
     /// accelerator to exist) has a unique answer, so the windowed search
     /// cannot resolve differently — and for a strictly increasing table
     /// the collapsed index is the count of entries totally below `u`,
-    /// which the select-style lower bound below computes. Keeping the
-    /// window walk free of data-dependent branches matters in
-    /// [`Zipf::sample_batch`]: table loads of a draw can then overlap
-    /// the (independent) loads of neighbouring draws instead of being
-    /// squashed by comparison mispredicts. Pinned by the
-    /// `accelerated_search_matches_full_binary_search` test.
+    /// which the select-style lower bound below computes. Pinned by the
+    /// `accelerated_search_matches_full_binary_search` test against the
+    /// full binary search, this layer's one reference.
     #[inline]
     fn search_table(table: &CdfTable, u: f64) -> u64 {
         let cdf = &table.cdf;
@@ -546,30 +459,6 @@ mod tests {
             for j in 0..n.min(64) {
                 let u = j as f64 / n as f64;
                 assert_eq!(Zipf::search_table(table, u), full(u), "n={n} s={s} boundary {j}");
-            }
-        }
-    }
-
-    /// `sample_batch` must consume the RNG identically to per-call
-    /// `sample` and produce bit-identical draws on every representation
-    /// (table, approximate, harmonic), including empty and odd lengths.
-    #[test]
-    fn batch_draws_match_scalar_draws() {
-        for &(n, s) in &[
-            (1u64, 0.9),
-            (7, 0.5),
-            (5000, 0.8),
-            (TABLE_LIMIT * 4, 0.9), // Approx
-            (TABLE_LIMIT * 4, 1.0), // Harmonic
-        ] {
-            let z = Zipf::new(n, s).unwrap();
-            let mut a = SmallRng::seed_from_u64(0xBA7C4);
-            let mut b = SmallRng::seed_from_u64(0xBA7C4);
-            for len in [0usize, 1, 3, 256, 257] {
-                let mut got = vec![0u64; len];
-                z.sample_batch(&mut a, &mut got);
-                let expect: Vec<u64> = (0..len).map(|_| z.sample(&mut b)).collect();
-                assert_eq!(got, expect, "n={n} s={s} len={len}");
             }
         }
     }

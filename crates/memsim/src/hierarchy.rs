@@ -327,9 +327,10 @@ impl CpuHierarchy {
     }
 
     /// Walks a whole [`RefBatch`] through the stack level by level: one
-    /// TLB pass over the data column, one L1D pass, one trace-cache pass
-    /// over the code column, then the misses merged (by sequence number)
-    /// into a single L2 stream and its misses into a single L3 stream.
+    /// TLB-and-bookkeeping pass over the data column, one L1D pass, one
+    /// trace-cache pass over the code column, then the misses merged (by
+    /// sequence number) into a single L2 stream and its misses into a
+    /// single L3 stream.
     ///
     /// Bit-exact with issuing [`CpuHierarchy::fetch_code`] /
     /// [`CpuHierarchy::access_data`] per reference in batch order: every
@@ -349,28 +350,31 @@ impl CpuHierarchy {
     pub fn access_batch(&mut self, batch: &RefBatch, out: &mut BatchOutcomes) {
         out.clear();
 
-        // Data column: bookkeeping (with the directory's `WriteEvent`s
-        // folded in — their content depends only on the batch columns,
-        // so emitting them before the TLB pass is order-neutral), then
-        // the TLB and L1D passes. The TLB and L1D see only data
-        // references, already in scalar order.
-        for (i, (&write, &space)) in batch.data_writes.iter().zip(&batch.data_space).enumerate() {
+        // Data column: bookkeeping with the TLB translation and the
+        // directory's `WriteEvent`s folded in (the TLB sees only data
+        // references, and this loop visits them in scalar order; event
+        // content depends only on the batch columns), then the L1D pass.
+        for (i, ((&addr, &write), &space)) in batch
+            .data_addrs
+            .iter()
+            .zip(&batch.data_writes)
+            .zip(&batch.data_space)
+            .enumerate()
+        {
+            let tlb_miss = !self.tlb.access(addr);
             let c = &mut self.counts[space.index()];
             c.data_refs += 1;
             c.data_writes += write as u64;
             c.tlb_accesses += 1;
+            c.tlb_misses += u64::from(tlb_miss);
             if write {
                 // Every data write surfaces for the directory, hit or miss
                 // (`RefOutcome::wrote_line` does the same on the scalar path).
                 out.writes.push(WriteEvent {
                     seq: batch.data_seq[i],
-                    line: batch.data_addrs[i] >> self.l3_line_shift << self.l3_line_shift,
+                    line: addr >> self.l3_line_shift << self.l3_line_shift,
                 });
             }
-        }
-        self.tlb.access_batch(&batch.data_addrs, &mut out.tlb_miss_idx);
-        for &i in &out.tlb_miss_idx {
-            self.counts[batch.data_space[i as usize].index()].tlb_misses += 1;
         }
         self.l1d
             .access_batch_rows(&batch.data_addrs, &batch.data_writes, &mut out.row_scratch);

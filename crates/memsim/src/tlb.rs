@@ -259,17 +259,6 @@ impl Tlb {
         }
     }
 
-    /// Translates every address in `addrs` in order, appending the index
-    /// of each miss to `miss_idx`: [`Tlb::access`] per element, the form
-    /// the hierarchy's batch walk calls.
-    pub fn access_batch(&mut self, addrs: &[u64], miss_idx: &mut Vec<u32>) {
-        for (i, &addr) in addrs.iter().enumerate() {
-            if !self.access(addr) {
-                miss_idx.push(i as u32);
-            }
-        }
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> TlbStats {
         self.stats
@@ -440,86 +429,6 @@ mod tests {
         }
     }
 
-    /// The batched form must report the same miss indices and leave the
-    /// TLB in the same observable state as the per-call path.
-    #[test]
-    fn batch_matches_scalar_path() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0x71B_0001);
-        for trial in 0..64usize {
-            let cap = 1 + trial % 9;
-            let mut scalar = Tlb::new(cap).unwrap();
-            let mut batched = Tlb::new(cap).unwrap();
-            let len = rng.gen_range(0..300);
-            let addrs: Vec<u64> = (0..len)
-                .map(|_| (rng.gen_range(0..32u64) << PAGE_SHIFT) | rng.gen_range(0..1u64 << PAGE_SHIFT))
-                .collect();
-            let mut miss_idx = Vec::new();
-            batched.access_batch(&addrs, &mut miss_idx);
-            let mut expect = Vec::new();
-            for (i, &a) in addrs.iter().enumerate() {
-                if !scalar.access(a) {
-                    expect.push(i as u32);
-                }
-            }
-            assert_eq!(miss_idx, expect, "trial {trial}: miss indices diverge");
-            assert_eq!(scalar.stats(), batched.stats());
-            assert_eq!(scalar.pages, batched.pages);
-            assert_eq!(scalar.head, batched.head);
-            assert_eq!(scalar.tail, batched.tail);
-            assert_eq!(scalar.prev, batched.prev);
-            assert_eq!(scalar.next, batched.next);
-            assert_eq!(scalar.idx_pages, batched.idx_pages);
-            assert_eq!(scalar.idx_slots, batched.idx_slots);
-        }
-    }
-
-    /// The batched form must make the identical per-access decision as
-    /// the naive stamp-scan model across random chunkings — partial
-    /// batches, capacity 1, and thrash-to-resident locality.
-    #[test]
-    fn batch_decision_exact_with_stamp_scan_model() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0x71B_0003);
-        for trial in 0..72usize {
-            let cap = 1 + trial % 12;
-            let distinct = 1 + trial % 40;
-            let mut fast = Tlb::new(cap).unwrap();
-            let mut model = ModelTlb::new(cap);
-            let len = rng.gen_range(0..500);
-            let addrs: Vec<u64> = (0..len)
-                .map(|_| {
-                    (rng.gen_range(0..distinct as u64) << PAGE_SHIFT)
-                        | rng.gen_range(0..1u64 << PAGE_SHIFT)
-                })
-                .collect();
-            let chunk = rng.gen_range(1usize..60);
-            let mut miss_idx = Vec::new();
-            let mut base = 0usize;
-            for c in addrs.chunks(chunk) {
-                let before = miss_idx.len();
-                fast.access_batch(c, &mut miss_idx);
-                for m in &mut miss_idx[before..] {
-                    *m += base as u32;
-                }
-                base += c.len();
-            }
-            let expect: Vec<u32> = addrs
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| !model.access(a))
-                .map(|(i, _)| i as u32)
-                .collect();
-            assert_eq!(miss_idx, expect, "trial {trial}: miss set diverged");
-            assert_eq!(fast.stats(), model.stats, "trial {trial}: stats diverged");
-            let mut a = fast.pages.clone();
-            let mut b = model.pages.clone();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "trial {trial}: resident pages diverged");
-        }
-    }
-
     /// Probe-chain wraparound and backward-shift deletion across the
     /// bucket-array boundary: pages crafted to share home buckets near
     /// the last bucket force probes (and hole back-shifts) to wrap, and
@@ -562,8 +471,12 @@ mod tests {
             .map(|(i, _)| i as u32)
             .collect();
         let mut tlb = Tlb::new(cap).unwrap();
-        let mut miss_idx = Vec::new();
-        tlb.access_batch(&addrs, &mut miss_idx);
+        let miss_idx: Vec<u32> = addrs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &a)| !tlb.access(a))
+            .map(|(i, _)| i as u32)
+            .collect();
         assert_eq!(miss_idx, expect, "wraparound miss set diverged");
         assert_eq!(tlb.stats(), model.stats);
         let mut a = tlb.pages.clone();

@@ -26,7 +26,7 @@
 use crate::batch::{BatchOutcomes, RefBatch};
 use crate::coherence::Directory;
 use crate::dist::Zipf;
-use crate::hierarchy::{CpuHierarchy, HierarchyCounts, RefOutcome, Space};
+use crate::hierarchy::{CpuHierarchy, HierarchyCounts, L3Fill, Space};
 use crate::rates::{EventRates, SpaceRates};
 use odb_core::config::SystemConfig;
 use rand::rngs::SmallRng;
@@ -493,6 +493,36 @@ impl RefSink for DrainSink<'_> {
     }
 }
 
+/// Tests only: walks each reference through `fetch_code`/`access_data`
+/// and applies its coherence outcome at once — the per-reference oracle
+/// the batched walk plus ordered replay must equal.
+#[cfg(test)]
+struct OracleSink<'a> {
+    cpu: usize,
+    hierarchies: &'a mut [CpuHierarchy],
+    directory: &'a mut Directory,
+}
+
+#[cfg(test)]
+impl RefSink for OracleSink<'_> {
+    fn code(&mut self, addr: u64, space: Space) {
+        let outcome = self.hierarchies[self.cpu].fetch_code(addr, space);
+        if let Some(fill) = outcome.l3_fill {
+            replay_fill(self.cpu, fill, self.directory);
+        }
+    }
+
+    fn data(&mut self, addr: u64, write: bool, space: Space) {
+        let outcome = self.hierarchies[self.cpu].access_data(addr, write, space);
+        if let Some(fill) = outcome.l3_fill {
+            replay_fill(self.cpu, fill, self.directory);
+        }
+        if let Some(line) = outcome.wrote_line {
+            replay_write(self.cpu, line, self.hierarchies, self.directory);
+        }
+    }
+}
+
 /// The `Sync` slice of the characterizer that reference *generation*
 /// reads — the workload parameters plus the derived burst spacing.
 /// Worker threads share copies of this; the `Cell`-based timing fields
@@ -565,10 +595,21 @@ impl Characterizer {
     /// # Errors
     ///
     /// Returns [`odb_core::Error::InvalidConfig`] when either fails
-    /// validation.
+    /// validation, or when the system has more processors than the
+    /// coherence directory can track (64).
     pub fn new(system: SystemConfig, params: TraceParams) -> Result<Self, odb_core::Error> {
         system.validate()?;
         params.validate()?;
+        if system.processors > crate::coherence::MAX_CPUS {
+            return Err(odb_core::Error::InvalidConfig {
+                field: "processors",
+                reason: format!(
+                    "the coherence directory tracks at most {} processors, got {}",
+                    crate::coherence::MAX_CPUS,
+                    system.processors
+                ),
+            });
+        }
         let user_between_bursts = if params.os_fraction > 0.0 && params.os_fraction < 1.0 {
             (params.os_burst_len as f64 * (1.0 - params.os_fraction) / params.os_fraction) as u64
         } else {
@@ -616,13 +657,14 @@ impl Characterizer {
         self
     }
 
-    /// Returns a copy using batches of `capacity` references (minimum 1)
-    /// in the generate/drain loop. The default is
+    /// Tests only: returns a copy using batches of `capacity` references
+    /// (minimum 1) in the generate/drain loop instead of
     /// [`crate::batch::DEFAULT_BATCH_CAPACITY`]; results are identical
     /// for every capacity (pinned by the `batch_capacity_is_immaterial`
-    /// test) — only throughput changes.
+    /// test).
+    #[cfg(test)]
     #[must_use]
-    pub fn with_batch_capacity(mut self, capacity: usize) -> Self {
+    fn with_batch_capacity(mut self, capacity: usize) -> Self {
         self.batch_capacity = capacity.max(1);
         self
     }
@@ -1084,8 +1126,8 @@ impl Characterizer {
     /// simulated; the batch drains through the level-wise kernels
     /// whenever it fills and once more at chunk end, so batches never
     /// span the chunk boundary — the coherence serialization point
-    /// between CPUs. Bit-exact with the per-reference walk preserved as
-    /// `run_chunk_reference` (the `scalar_oracle` test hook routes here).
+    /// between CPUs. Bit-exact with the per-reference walk of
+    /// `OracleSink` (the `scalar_oracle` test hook routes there).
     #[allow(clippy::too_many_arguments)]
     fn run_chunk<S: DbRefSource>(
         &self,
@@ -1100,15 +1142,23 @@ impl Characterizer {
         out: &mut BatchOutcomes,
         phase_started: &mut Instant,
     ) {
-        #[cfg(test)]
-        if self.scalar_oracle {
-            self.run_chunk_reference(cpu, instructions, hierarchies, procs, state, directory, samplers);
-            return;
-        }
         let ctx = GenCtx {
             params: &self.params,
             user_between_bursts: self.user_between_bursts,
         };
+        #[cfg(test)]
+        if self.scalar_oracle {
+            let mut sink = OracleSink {
+                cpu,
+                hierarchies: &mut *hierarchies,
+                directory: &mut *directory,
+            };
+            let (retired_user, retired_os) =
+                ctx.run_chunk_into(cpu, instructions, procs, state, samplers, &mut sink);
+            hierarchies[cpu].retire_instructions(retired_user, Space::User);
+            hierarchies[cpu].retire_instructions(retired_os, Space::Os);
+            return;
+        }
         let (retired_user, retired_os) = {
             let mut sink = DrainSink {
                 ch: self,
@@ -1130,8 +1180,8 @@ impl Characterizer {
 
     /// Walks the pending batch through `cpu`'s hierarchy and replays the
     /// returned coherence events in reference order — each fill before
-    /// the same reference's write, exactly as the scalar walk hands one
-    /// combined [`RefOutcome`] to [`sync_directory`] per reference.
+    /// the same reference's write, exactly as the scalar walk applies
+    /// them per reference ([`replay_fill`], then [`replay_write`]).
     fn drain_batch(
         &self,
         cpu: usize,
@@ -1163,28 +1213,10 @@ impl Characterizer {
                 _ => false,
             };
             if take_fill {
-                sync_directory(
-                    cpu,
-                    RefOutcome {
-                        l3_fill: Some(fills[fi].fill),
-                        wrote_line: None,
-                    },
-                    false,
-                    hierarchies,
-                    directory,
-                );
+                replay_fill(cpu, fills[fi].fill, directory);
                 fi += 1;
             } else {
-                sync_directory(
-                    cpu,
-                    RefOutcome {
-                        l3_fill: None,
-                        wrote_line: Some(writes[wi].line),
-                    },
-                    true,
-                    hierarchies,
-                    directory,
-                );
+                replay_write(cpu, writes[wi].line, hierarchies, directory);
                 wi += 1;
             }
         }
@@ -1363,122 +1395,29 @@ impl GenCtx<'_> {
     }
 }
 
-#[cfg(test)]
-impl Characterizer {
-    /// The pre-batching per-reference chunk walk, kept verbatim as the
-    /// oracle: every reference goes through `fetch_code`/`access_data`
-    /// and `sync_directory` immediately. The scalar/batched equivalence
-    /// suites run whole characterizations through both this and the
-    /// batched `run_chunk` and require identical `Characterization`s.
-    #[allow(clippy::too_many_arguments)]
-    fn run_chunk_reference<S: DbRefSource>(
-        &self,
-        cpu: usize,
-        instructions: u64,
-        hierarchies: &mut [CpuHierarchy],
-        procs: &mut [ProcessState<S>],
-        state: &mut CpuState,
-        directory: &mut Directory,
-        samplers: &Samplers,
-    ) {
-        let ctx = GenCtx {
-            params: &self.params,
-            user_between_bursts: self.user_between_bursts,
-        };
-        let p = &self.params;
-        let user_between_bursts = self.user_between_bursts;
-
-        for _ in 0..instructions {
-            // Space selection via burst alternation.
-            let space = if state.os_remaining > 0 {
-                state.os_remaining -= 1;
-                Space::Os
-            } else if p.os_fraction >= 1.0 {
-                Space::Os
-            } else {
-                state.user_since_burst += 1;
-                if state.user_since_burst >= user_between_bursts {
-                    state.user_since_burst = 0;
-                    state.os_remaining = p.os_burst_len;
-                }
-                Space::User
-            };
-
-            hierarchies[cpu].retire_instructions(1, space);
-
-            // Instruction fetch.
-            let (cursor, code_base, code_bytes) = match space {
-                Space::User => (
-                    &mut procs[state.current].user_code_cursor,
-                    USER_CODE_BASE,
-                    p.user_code_bytes,
-                ),
-                Space::Os => (&mut state.os_code_cursor, OS_CODE_BASE, p.os_code_bytes),
-            };
-            let old_line = *cursor / LINE;
-            if state.rng.gen_bool(p.code_jump_prob) {
-                let sampler = match space {
-                    Space::User => &samplers.user_code,
-                    Space::Os => &samplers.os_code,
-                };
-                let block = sampler.sample(&mut state.rng);
-                *cursor = code_base + block * CODE_BLOCK;
-            } else {
-                *cursor += 4;
-                if *cursor >= code_base + code_bytes {
-                    *cursor = code_base;
-                }
-            }
-            let addr = *cursor;
-            if addr / LINE != old_line {
-                let outcome = hierarchies[cpu].fetch_code(addr, space);
-                sync_directory(cpu, outcome, false, hierarchies, directory);
-            }
-
-            // Data reference.
-            if state.rng.gen_bool(p.data_refs_per_instr) {
-                let (addr, write) = match space {
-                    Space::User => ctx.user_data_ref(procs, state, samplers),
-                    Space::Os => ctx.os_data_ref(cpu, state, samplers),
-                };
-                let outcome = hierarchies[cpu].access_data(addr, write, space);
-                sync_directory(cpu, outcome, write, hierarchies, directory);
-            }
-
-            // Context switch: rotate to the next process on this CPU.
-            state.until_switch -= 1;
-            if state.until_switch == 0 {
-                state.until_switch = p.instrs_per_context_switch;
-                state.current = (state.current + 1) % procs.len();
-            }
-        }
+/// Records an L3 fill (and the victim it displaced) in the coherence
+/// directory.
+#[inline]
+fn replay_fill(cpu: usize, fill: L3Fill, directory: &mut Directory) {
+    if let Some(e) = fill.evicted {
+        directory.record_evict(cpu, e.addr);
     }
+    directory.record_fill(cpu, fill.filled);
 }
 
-/// Propagates an access outcome into the coherence directory.
+/// Broadcasts a write by `cpu` to `line` to the other holders.
 ///
-/// Invalidation broadcasts go through [`Directory::write_slice`] on the
-/// hierarchy slice itself — the previous shape collected a
-/// `Vec<&mut CpuHierarchy>` per invalidating write, a per-reference
-/// allocation in the hottest loop of the simulator.
+/// Invalidations go through [`Directory::write`] on the hierarchy slice
+/// itself, so an invalidating write allocates nothing.
 #[inline]
-fn sync_directory(
+fn replay_write(
     cpu: usize,
-    outcome: RefOutcome,
-    _write: bool,
+    line: u64,
     hierarchies: &mut [CpuHierarchy],
     directory: &mut Directory,
 ) {
-    if let Some(fill) = outcome.l3_fill {
-        if let Some(e) = fill.evicted {
-            directory.record_evict(cpu, e.addr);
-        }
-        directory.record_fill(cpu, fill.filled);
-    }
-    if let Some(line) = outcome.wrote_line {
-        if directory.has_remote_holders(cpu, line) {
-            directory.write_slice(cpu, line, hierarchies);
-        }
+    if directory.has_remote_holders(cpu, line) {
+        directory.write(cpu, line, hierarchies);
     }
 }
 
@@ -1632,6 +1571,25 @@ mod tests {
         };
         assert!(p.validate().is_err());
         assert!(TraceParams::default().validate().is_ok());
+    }
+
+    /// The directory's holder mask has one `u64` bit per CPU: a 65th
+    /// processor is a typed configuration error, not a shift overflow
+    /// (debug builds) or CPU 64 silently aliasing CPU 0 (release).
+    #[test]
+    fn rejects_more_processors_than_the_directory_tracks() {
+        assert!(Characterizer::new(small_system(64), quick_params()).is_ok());
+        let err = Characterizer::new(small_system(65), quick_params()).err();
+        assert!(
+            matches!(
+                err,
+                Some(odb_core::Error::InvalidConfig {
+                    field: "processors",
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]
