@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The whole gate in one command: build, tests, invariant-armed tests,
 # clippy at -D warnings across every target, the workspace
-# static-analysis pass, and the parallel-sweep perf gate.
+# static-analysis pass, the determinism gates, the benchmark package's
+# tests and checks, and the results/ drift gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -35,81 +36,76 @@ if grep -Eq '^[a-z_]+ *= *[1-9]' crates/analyzer/baseline.toml; then
   exit 1
 fi
 
-# Parallel-sweep smoke + perf gate: runs the quick 27-point sweep at
-# jobs=1 and jobs=4 and asserts the two are byte-identical (the
-# determinism contract of odb-experiments::runner) — that part runs
-# everywhere. Perf is gated host-relatively: on hosts with >= 4 cores
-# the jobs=4 sweep must be at least 1.5x faster than jobs=1, a ratio
-# computed within this run, so it holds on any machine. The absolute
-# wall-clock ratchet against the checked-in results/BENCH_sweep.json
-# (recorded on a 1-core container; 25% tolerance) is only meaningful on
-# the machine that recorded the baseline, so it is opt-in via
-# ODB_BENCH_GATE=1.
-BENCH_ARGS=(--quick-only --jobs 4 --out target/BENCH_sweep.json)
+# Determinism gates: the bit-exactness contract of the sweep runner, end
+# to end. One reference sweep (quick table1 at --jobs 1) must come out
+# byte-identical (`diff -r`) when the same sweep runs
+#   * on 4 point workers;
+#   * at --jobs 2, killed after 5 journalled points (the
+#     ODB_CRASH_AFTER_POINTS injection hook, exit status 3), then
+#     finished with --resume, which must delete the journal;
+#   * at --jobs 2 with 4 within-point workers under an explicit thread
+#     budget (which also exercises the --jobs x --within-point-jobs
+#     arbitration).
+# Perf is gated host-relatively: on hosts with >= 4 cores the --jobs 4
+# sweep must be at least 1.5x faster than the reference, a ratio
+# computed within this run, so it holds on any machine.
+rm -rf target/determinism
+mkdir -p target/determinism
+# sweep NAME ARGS...: a quick table1 sweep into target/determinism/NAME.
+sweep() {
+  local dir="target/determinism/$1"
+  shift
+  mkdir -p "$dir"
+  target/release/odb-experiments table1 --quick --out "$dir" "$@" > /dev/null
+}
+# same NAME: NAME's artifacts must equal the reference's, byte for byte.
+same() {
+  diff -r target/determinism/reference "target/determinism/$1" \
+    || { echo "ci.sh: $1 sweep is not byte-identical to the --jobs 1 reference" >&2; exit 1; }
+}
+t0=$(date +%s%N)
+sweep reference --jobs 1
+t1=$(date +%s%N)
+sweep jobs4 --jobs 4
+t2=$(date +%s%N)
+same jobs4
+speedup=$(awk -v a=$((t1 - t0)) -v b=$((t2 - t1)) 'BEGIN { printf "%.2f", a / b }')
 if [ "$(nproc)" -ge 4 ]; then
-  BENCH_ARGS+=(--min-speedup 1.5)
+  awk -v s="$speedup" 'BEGIN { exit !(s >= 1.5) }' \
+    || { echo "ci.sh: --jobs 4 sweep speedup ${speedup}x is below the 1.5x floor" >&2; exit 1; }
 else
-  echo "ci.sh: WARNING: only $(nproc) core(s) — the parallel-sweep speedup is" >&2
-  echo "ci.sh: WARNING: UNVERIFIED on this host (byte-identity still checked);" >&2
-  echo "ci.sh: WARNING: the bench stamps \"parallel_unverified\" on 1-core output." >&2
+  echo "ci.sh: WARNING: only $(nproc) core(s) — the parallel-sweep speedup" >&2
+  echo "ci.sh: WARNING: (${speedup}x) is UNVERIFIED on this host (byte-identity still checked)." >&2
 fi
-if [ "${ODB_BENCH_GATE:-0}" = "1" ]; then
-  BENCH_ARGS+=(--baseline results/BENCH_sweep.json --max-regress 0.25)
+set +e
+ODB_CRASH_AFTER_POINTS=5 sweep resume --jobs 2 2> target/determinism/crash.log
+status=$?
+set -e
+if [ "$status" -ne 3 ]; then
+  echo "ci.sh: crash injection expected exit status 3, got $status" >&2
+  cat target/determinism/crash.log >&2
+  exit 1
 fi
-cargo bench -p odb-bench --bench sweep -- "${BENCH_ARGS[@]}"
+[ -f target/determinism/resume/sweep.journal ] \
+  || { echo "ci.sh: crashed run left no sweep.journal behind" >&2; exit 1; }
+sweep resume --jobs 2 --resume target/determinism/resume/sweep.journal
+[ ! -f target/determinism/resume/sweep.journal ] \
+  || { echo "ci.sh: completed resume must delete the journal" >&2; exit 1; }
+same resume
+sweep within-point --jobs 2 --within-point-jobs 4 --thread-budget 8
+same within-point
 
-# Resume smoke test: the crash-safety contract of the run journal,
-# end to end. A quick sweep is killed (via the ODB_CRASH_AFTER_POINTS
-# injection hook, exit status 3) after 5 journalled points, resumed
-# with --resume, and the resulting artifact directory must be
-# byte-identical (`diff -r`) to a run that was never interrupted —
-# including the absence of the journal itself, which a completed run
-# deletes. ODB_SKIP_RESUME_GATE=1 skips for fast local iteration.
-if [ "${ODB_SKIP_RESUME_GATE:-0}" != "1" ]; then
-  rm -rf target/resume-clean target/resume-crash
-  mkdir -p target/resume-clean target/resume-crash
-  cargo run --release -q -p odb-experiments -- \
-    table1 --quick --jobs 2 --out target/resume-clean > /dev/null
-  set +e
-  ODB_CRASH_AFTER_POINTS=5 cargo run --release -q -p odb-experiments -- \
-    table1 --quick --jobs 2 --out target/resume-crash > /dev/null 2> target/resume-crash.log
-  status=$?
-  set -e
-  if [ "$status" -ne 3 ]; then
-    echo "ci.sh: crash injection expected exit status 3, got $status" >&2
-    cat target/resume-crash.log >&2
-    exit 1
-  fi
-  [ -f target/resume-crash/sweep.journal ] \
-    || { echo "ci.sh: crashed run left no sweep.journal behind" >&2; exit 1; }
-  cargo run --release -q -p odb-experiments -- \
-    table1 --quick --jobs 2 --out target/resume-crash \
-    --resume target/resume-crash/sweep.journal > /dev/null
-  [ ! -f target/resume-crash/sweep.journal ] \
-    || { echo "ci.sh: completed resume must delete the journal" >&2; exit 1; }
-  diff -r target/resume-clean target/resume-crash \
-    || { echo "ci.sh: resumed sweep is not byte-identical to a clean run" >&2; exit 1; }
-fi
-
-# Within-point determinism gate: the bit-exactness contract of the
-# intra-point parallelism (parallel reference-stream generation). The
-# same quick sweep runs once serially within each point
-# and once with 4 within-point workers under an explicit thread budget
-# (which also exercises the --jobs x --within-point-jobs arbitration);
-# the artifact directories must be byte-identical (`diff -r`).
-# ODB_SKIP_WPJ_GATE=1 skips for fast local iteration.
-if [ "${ODB_SKIP_WPJ_GATE:-0}" != "1" ]; then
-  rm -rf target/wpj-serial target/wpj-parallel
-  mkdir -p target/wpj-serial target/wpj-parallel
-  cargo run --release -q -p odb-experiments -- \
-    table1 --quick --jobs 2 --within-point-jobs 1 \
-    --out target/wpj-serial > /dev/null
-  cargo run --release -q -p odb-experiments -- \
-    table1 --quick --jobs 2 --within-point-jobs 4 --thread-budget 8 \
-    --out target/wpj-parallel > /dev/null
-  diff -r target/wpj-serial target/wpj-parallel \
-    || { echo "ci.sh: within-point-parallel sweep is not byte-identical to serial" >&2; exit 1; }
-fi
+# The benchmark package (workload-bench/, a workspace of its own, which
+# the steps above never build): its tests, clippy at -D warnings, and one
+# short run per workload, which fails on any check the run makes.
+# xeon-standard's cycle at seed 42 re-simulates rows of results/sweep.csv,
+# which the drift gate below only replays.
+cargo test -q --release --offline --manifest-path workload-bench/Cargo.toml
+cargo clippy -q --offline --manifest-path workload-bench/Cargo.toml --all-targets -- -D warnings
+for workload in xeon-standard itanium-quick; do
+  cargo run --release -q --offline --manifest-path workload-bench/Cargo.toml -- \
+    --workload "$workload" --seed 42 --seconds 1 > /dev/null
+done
 
 # Artifact drift gate: every checked-in table/figure under results/
 # must be exactly what the current code produces — the README's
@@ -117,8 +113,7 @@ fi
 # sweep (ODB_REPLAY_SWEEP) skips the expensive 27-point re-simulation;
 # the standalone artifacts (fig19, ablations, variance) re-simulate at
 # full fidelity, which is what makes this worth its ~2 min.
-# BENCH_sweep.json is per-machine timing, not a simulation artifact, so
-# it is excluded. ODB_SKIP_DRIFT_GATE=1 skips for fast local iteration.
+# ODB_SKIP_DRIFT_GATE=1 skips for fast local iteration.
 if [ "${ODB_SKIP_DRIFT_GATE:-0}" != "1" ]; then
   rm -rf target/results-replay
   mkdir -p target/results-replay
@@ -126,5 +121,5 @@ if [ "${ODB_SKIP_DRIFT_GATE:-0}" != "1" ]; then
     cargo run --release -p odb-experiments -- all --out target/results-replay \
     > /dev/null
   cp results/sweep.csv target/results-replay/sweep.csv
-  diff -r -x BENCH_sweep.json results target/results-replay
+  diff -r results target/results-replay
 fi

@@ -13,6 +13,7 @@ use odb_memsim::cache::SetAssocCache;
 use odb_memsim::dist::Zipf;
 use odb_memsim::hierarchy::{CpuHierarchy, Space};
 use odb_memsim::tlb::Tlb;
+use odb_memsim::{BatchOutcomes, RefBatch, DEFAULT_BATCH_CAPACITY};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,6 +31,24 @@ fn bench_cache() {
         let addr = zipf.sample(&mut rng) * 64;
         black_box(hierarchy.access_data(addr, false, Space::User))
     });
+    // The same draws walked by the SoA batch kernels, one full batch per
+    // iteration (fill as `trace.rs` does, then `access_batch`). Its time
+    // over the batch size, set against `full_hierarchy_data_ref`, is the
+    // batching speedup per reference.
+    let mut hierarchy = CpuHierarchy::new(&SystemConfig::xeon_quad()).expect("hierarchy");
+    let mut batch = RefBatch::with_capacity(DEFAULT_BATCH_CAPACITY);
+    let mut out = BatchOutcomes::new();
+    bench(
+        &format!("cache/hierarchy_walk_batch_{DEFAULT_BATCH_CAPACITY}"),
+        || {
+            batch.clear();
+            for _ in 0..DEFAULT_BATCH_CAPACITY {
+                batch.push_data(zipf.sample(&mut rng) * 64, false, Space::User);
+            }
+            hierarchy.access_batch(&batch, &mut out);
+            black_box(out.fills().len())
+        },
+    );
     let mut tlb = Tlb::new(64).expect("tlb");
     let pages = Zipf::new(1 << 12, 0.9).expect("zipf");
     bench("cache/tlb_access", || {

@@ -5,7 +5,7 @@
 //! instead. The contract is deliberately small: [`bench`] warms a
 //! closure up, calibrates a batch size, and prints the best-of-three
 //! per-iteration time. No statistics beyond "best batch" — these runs
-//! guide by eye; the gating perf number is the sweep bench's wall clock.
+//! guide by eye; end-to-end speed is measured by `workload-bench/`.
 
 pub use std::hint::black_box;
 use std::time::Instant;
@@ -17,15 +17,13 @@ const TARGET_BATCH_NANOS: f64 = 50_000_000.0;
 const BATCHES: u32 = 3;
 
 /// Times `f` and returns `(best per-iteration nanoseconds, iterations
-/// per measured batch)` — the measurement behind [`bench`], exposed so
-/// callers that emit machine-readable artifacts (the sweep bench's
-/// `refs_per_sec` section) can reuse the calibrated loop.
+/// per measured batch)` — the measurement behind [`bench`].
 ///
 /// Calibration doubles as warm-up: the batch size grows by 4× until one
 /// batch runs ≥10 ms, then three batches sized for ~50 ms each are
 /// measured and the fastest per-iteration time wins (the usual defense
 /// against scheduling noise on a shared host).
-pub fn measure_ns<R>(mut f: impl FnMut() -> R) -> (f64, u64) {
+fn measure_ns<R>(mut f: impl FnMut() -> R) -> (f64, u64) {
     let mut batch: u64 = 1;
     let per_iter_estimate = loop {
         let started = Instant::now();

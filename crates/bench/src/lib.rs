@@ -5,13 +5,9 @@
 //! per-artifact benches time the projection/fitting/rendering stage,
 //! while `pipeline` benches time the measurement machinery itself. All
 //! of them run on the in-house [`harness`] (no criterion in this
-//! offline workspace).
-//!
-//! The sweep bench (`benches/sweep.rs`) is the number CI gates on — and
-//! since the observer seam landed in the engine it doubles as the
-//! zero-cost check for that seam: the gated sweep runs with no external
-//! observers registered, so any overhead the hooks add to the hot path
-//! shows up directly in its wall clock.
+//! offline workspace). End-to-end sweep wall clock, with repeats and
+//! per-layer work × cost, is measured by the separate `workload-bench/`
+//! package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +42,7 @@ pub fn bench_sweep() -> Sweep {
         })
         .collect();
     let sweep = Sweep::run_points(&SystemConfig::xeon_quad(), &options, &points);
-    sweep.ensure_complete().expect("bench sweep must run");
+    sweep.ensure_complete().expect("the reduced sweep must run");
     sweep
 }
 

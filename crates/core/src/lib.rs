@@ -63,3 +63,63 @@ pub mod regression;
 pub mod series;
 
 pub use error::Error;
+
+/// Seeded case generation for this crate's property tests.
+///
+/// Each property runs [`CASES`] cases, one per seed, drawn from a
+/// splitmix64 stream over the same half-open ranges the property states.
+/// The suite is therefore deterministic, a failure names the seed that
+/// reproduces it, and no fuzzing dependency is needed.
+#[cfg(test)]
+mod seeded {
+    use std::ops::Range;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Cases (seeds `0..CASES`) each property is checked on.
+    const CASES: u64 = 10_000;
+
+    /// One case's draw stream.
+    pub(crate) struct Draws {
+        state: u64,
+    }
+
+    impl Draws {
+        /// splitmix64: the same mixer `SimOptions::for_point` seeds with.
+        fn next_u64(&mut self) -> u64 {
+            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// A uniform draw from `range`.
+        pub(crate) fn f64_in(&mut self, range: Range<f64>) -> f64 {
+            let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            range.start + (range.end - range.start) * unit
+        }
+
+        /// A uniform draw from `range`.
+        pub(crate) fn usize_in(&mut self, range: Range<usize>) -> usize {
+            range.start + (self.next_u64() % (range.end - range.start) as u64) as usize
+        }
+
+        /// A vector whose length is drawn from `len` and whose elements are
+        /// drawn from `values`.
+        pub(crate) fn vec_f64(&mut self, values: Range<f64>, len: Range<usize>) -> Vec<f64> {
+            let n = self.usize_in(len);
+            (0..n).map(|_| self.f64_in(values.clone())).collect()
+        }
+    }
+
+    /// Checks `property` on seeds `0..CASES`; the first failing case panics
+    /// with the property's name and its seed.
+    pub(crate) fn check(name: &str, mut property: impl FnMut(&mut Draws)) {
+        for seed in 0..CASES {
+            let mut draws = Draws { state: seed };
+            if catch_unwind(AssertUnwindSafe(|| property(&mut draws))).is_err() {
+                panic!("property `{name}` failed at seed {seed}");
+            }
+        }
+    }
+}

@@ -145,7 +145,7 @@ impl TwoSegmentFit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::seeded::check;
 
     /// Paper-shaped CPI data: steep to ~100 W, then gentle (Fig 17).
     fn paper_like() -> (Vec<f64>, Vec<f64>) {
@@ -232,44 +232,50 @@ mod tests {
         assert!(f.sse() < 1e-12, "noiseless data fits exactly");
     }
 
-    proptest! {
-        /// The chosen split's SSE is no worse than any other valid split.
-        #[test]
-        fn split_is_sse_optimal(
-            ys in proptest::collection::vec(0.0f64..100.0, 6..14),
-        ) {
+    /// The chosen split's SSE is no worse than any other valid split.
+    #[test]
+    fn split_is_sse_optimal() {
+        check("split_is_sse_optimal", |d| {
+            let ys = d.vec_f64(0.0..100.0, 6..14);
             let xs: Vec<f64> = (0..ys.len()).map(|i| (i + 1) as f64 * 10.0).collect();
             let best = TwoSegmentFit::fit(&xs, &ys).unwrap();
             for split in 2..=(xs.len() - 2) {
                 let c = LinearFit::fit(&xs[..split], &ys[..split]).unwrap();
                 let s = LinearFit::fit(&xs[split..], &ys[split..]).unwrap();
-                prop_assert!(best.sse() <= c.sse + s.sse + 1e-9);
+                assert!(best.sse() <= c.sse + s.sse + 1e-9);
             }
-        }
+        });
+    }
 
-        /// A genuine two-slope signal with a knee is recovered with the
-        /// pivot near the knee, for a range of knee positions and slopes.
-        #[test]
-        fn knee_recovery(
-            knee_idx in 2usize..6,
-            steep in 0.05f64..0.5,
-            gentle_frac in 0.0f64..0.2,
-        ) {
+    /// A genuine two-slope signal with a knee is recovered with the
+    /// pivot near the knee, for a range of knee positions and slopes.
+    #[test]
+    fn knee_recovery() {
+        check("knee_recovery", |d| {
+            let knee_idx = d.usize_in(2..6);
+            let steep = d.f64_in(0.05..0.5);
+            let gentle_frac = d.f64_in(0.0..0.2);
             let xs: Vec<f64> = (0..8).map(|i| (i + 1) as f64 * 25.0).collect();
             let knee_x = xs[knee_idx];
             let gentle = steep * gentle_frac;
-            let y_at = |x: f64| if x <= knee_x {
-                steep * x
-            } else {
-                steep * knee_x + gentle * (x - knee_x)
+            let y_at = |x: f64| {
+                if x <= knee_x {
+                    steep * x
+                } else {
+                    steep * knee_x + gentle * (x - knee_x)
+                }
             };
             let ys: Vec<f64> = xs.iter().map(|&x| y_at(x)).collect();
             let f = TwoSegmentFit::fit(&xs, &ys).unwrap();
             if let Some(p) = f.pivot() {
                 // The recovered pivot sits within one grid step of the knee.
-                prop_assert!((p.x - knee_x).abs() <= 30.0,
-                    "pivot {} vs knee {}", p.x, knee_x);
+                assert!(
+                    (p.x - knee_x).abs() <= 30.0,
+                    "pivot {} vs knee {}",
+                    p.x,
+                    knee_x
+                );
             }
-        }
+        });
     }
 }

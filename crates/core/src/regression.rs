@@ -237,7 +237,7 @@ pub fn mape(predicted: &[f64], actual: &[f64]) -> Result<f64, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::seeded::check;
 
     #[test]
     fn perfect_line_recovered() {
@@ -381,61 +381,61 @@ mod tests {
         assert!((b - 5.0).abs() < 1e-12);
     }
 
-    proptest! {
-        /// Theil–Sen also recovers exact lines.
-        #[test]
-        fn theil_sen_exact_line_roundtrip(
-            a in -100.0f64..100.0,
-            b in -1e4f64..1e4,
-            n in 3usize..15,
-        ) {
+    /// Theil–Sen also recovers exact lines.
+    #[test]
+    fn theil_sen_exact_line_roundtrip() {
+        check("theil_sen_exact_line_roundtrip", |d| {
+            let a = d.f64_in(-100.0..100.0);
+            let b = d.f64_in(-1e4..1e4);
+            let n = d.usize_in(3..15);
             let xs: Vec<f64> = (0..n).map(|i| i as f64 * 7.0).collect();
             let ys: Vec<f64> = xs.iter().map(|x| a * x + b).collect();
             let (sa, sb) = theil_sen(&xs, &ys).unwrap();
-            prop_assert!((sa - a).abs() < 1e-6 * (1.0 + a.abs()));
-            prop_assert!((sb - b).abs() < 1e-5 * (1.0 + b.abs()));
-        }
+            assert!((sa - a).abs() < 1e-6 * (1.0 + a.abs()));
+            assert!((sb - b).abs() < 1e-5 * (1.0 + b.abs()));
+        });
     }
 
-    proptest! {
-        /// Fitting y = a·x + b exactly recovers (a, b) for any finite
-        /// coefficients and ≥2 distinct xs.
-        #[test]
-        fn exact_line_roundtrip(
-            a in -1e3f64..1e3,
-            b in -1e6f64..1e6,
-            x0 in -1e3f64..1e3,
-            step in 0.1f64..100.0,
-            n in 2usize..30,
-        ) {
+    /// Fitting y = a·x + b exactly recovers (a, b) for any finite
+    /// coefficients and ≥2 distinct xs.
+    #[test]
+    fn exact_line_roundtrip() {
+        check("exact_line_roundtrip", |d| {
+            let a = d.f64_in(-1e3..1e3);
+            let b = d.f64_in(-1e6..1e6);
+            let x0 = d.f64_in(-1e3..1e3);
+            let step = d.f64_in(0.1..100.0);
+            let n = d.usize_in(2..30);
             let xs: Vec<f64> = (0..n).map(|i| x0 + step * i as f64).collect();
             let ys: Vec<f64> = xs.iter().map(|x| a * x + b).collect();
             let f = LinearFit::fit(&xs, &ys).unwrap();
-            prop_assert!((f.slope - a).abs() < 1e-6 * (1.0 + a.abs()));
-            prop_assert!((f.intercept - b).abs() < 1e-5 * (1.0 + b.abs()));
-        }
+            assert!((f.slope - a).abs() < 1e-6 * (1.0 + a.abs()));
+            assert!((f.intercept - b).abs() < 1e-5 * (1.0 + b.abs()));
+        });
+    }
 
-        /// The least-squares line always passes through the centroid.
-        #[test]
-        fn passes_through_centroid(
-            ys in proptest::collection::vec(-1e3f64..1e3, 3..20),
-        ) {
+    /// The least-squares line always passes through the centroid.
+    #[test]
+    fn passes_through_centroid() {
+        check("passes_through_centroid", |d| {
+            let ys = d.vec_f64(-1e3..1e3, 3..20);
             let xs: Vec<f64> = (0..ys.len()).map(|i| i as f64).collect();
             let f = LinearFit::fit(&xs, &ys).unwrap();
             let mx = xs.iter().sum::<f64>() / xs.len() as f64;
             let my = ys.iter().sum::<f64>() / ys.len() as f64;
-            prop_assert!((f.predict(mx) - my).abs() < 1e-6);
-        }
+            assert!((f.predict(mx) - my).abs() < 1e-6);
+        });
+    }
 
-        /// R² stays within [0, 1] and SSE is non-negative.
-        #[test]
-        fn goodness_of_fit_bounds(
-            ys in proptest::collection::vec(-1e3f64..1e3, 2..20),
-        ) {
+    /// R² stays within [0, 1] and SSE is non-negative.
+    #[test]
+    fn goodness_of_fit_bounds() {
+        check("goodness_of_fit_bounds", |d| {
+            let ys = d.vec_f64(-1e3..1e3, 2..20);
             let xs: Vec<f64> = (0..ys.len()).map(|i| i as f64).collect();
             let f = LinearFit::fit(&xs, &ys).unwrap();
-            prop_assert!(f.sse >= 0.0);
-            prop_assert!((0.0..=1.0).contains(&f.r_squared));
-        }
+            assert!(f.sse >= 0.0);
+            assert!((0.0..=1.0).contains(&f.r_squared));
+        });
     }
 }

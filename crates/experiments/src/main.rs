@@ -114,7 +114,13 @@ fn main() {
             }
             "--out" => {
                 i += 1;
-                out_dir = PathBuf::from(args.get(i).cloned().unwrap_or_default());
+                match args.get(i) {
+                    Some(dir) if !dir.is_empty() => out_dir = PathBuf::from(dir),
+                    _ => {
+                        eprintln!("--out needs an output directory");
+                        std::process::exit(2);
+                    }
+                }
             }
             "--quick" => quick = true,
             "--trace" => {

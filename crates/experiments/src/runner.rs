@@ -250,8 +250,8 @@ pub struct SweepRow {
     /// Wall-clock spent in each simulation phase for this point, summed
     /// over the probe runs of the client search and the measurement-grade
     /// run. Diagnostic only — never persisted to `sweep.csv`, so the
-    /// results drift gate is blind to it — but surfaced by `odb-bench` so
-    /// perf work can ratchet the phase that actually dominates.
+    /// results drift gate is blind to it — but surfaced by
+    /// `workload-bench` so perf work can see which phase dominates.
     pub phase_seconds: PhaseSeconds,
 }
 

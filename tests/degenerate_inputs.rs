@@ -83,3 +83,28 @@ fn single_warehouse_single_cpu_quick_run_succeeds() {
         .unwrap();
     assert!(m.transactions > 0, "even 1W/1C/1P must commit something");
 }
+
+/// `--out` with a missing or empty directory is a usage error (exit 2)
+/// that writes nothing, not a sweep whose artifacts land in the working
+/// directory.
+#[test]
+fn out_without_a_directory_is_a_usage_error() {
+    let cwd = std::env::temp_dir().join(format!("odb-bare-out-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    for args in [&["table1", "--quick", "--out"][..], &["table1", "--quick", "--out", ""]] {
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_odb-experiments"))
+            .args(args)
+            .current_dir(&cwd)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .unwrap();
+        assert_eq!(status.code(), Some(2), "args {args:?}");
+        assert_eq!(
+            std::fs::read_dir(&cwd).unwrap().count(),
+            0,
+            "args {args:?} created files"
+        );
+    }
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
