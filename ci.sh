@@ -12,11 +12,6 @@ cargo test -q --workspace --features invariants
 cargo clippy --workspace --all-targets --features invariants -- -D warnings
 cargo run -p odb-analyzer
 
-# Machine-readable analyzer report, archived for downstream tooling
-# (same run as the gate above, so it cannot disagree with it).
-mkdir -p target
-cargo run -q -p odb-analyzer -- --json > target/analyzer_report.json
-
 # Lint-catalog drift check: the README's catalog table must list exactly
 # the lints the binary registers (`--list-lints` prints the stable id as
 # the first token of each line; the README rows carry it as `` `id` ``).
@@ -24,17 +19,6 @@ diff <(cargo run -q -p odb-analyzer -- --list-lints | awk '{print $1}' | sort) \
      <(sed -n '/<!-- lint-catalog:begin -->/,/<!-- lint-catalog:end -->/p' README.md \
          | sed -n 's/^| `\([a-z_]*\)`.*/\1/p' | sort) \
   || { echo "ci.sh: README lint catalog drifted from odb-analyzer --list-lints" >&2; exit 1; }
-
-# Burn-down ratchet: the analyzer above enforces "no worse than
-# baseline"; this check pins the baseline itself at zero for every
-# audited crate and every section ([panic_sites] and [determinism]), so
-# a future change cannot quietly re-baseline a panic site or a
-# determinism hazard back into the simulation core.
-if grep -Eq '^[a-z_]+ *= *[1-9]' crates/analyzer/baseline.toml; then
-  echo "ci.sh: nonzero baseline entry in crates/analyzer/baseline.toml:" >&2
-  grep -E '^[a-z_]+ *= *[1-9]' crates/analyzer/baseline.toml >&2
-  exit 1
-fi
 
 # Determinism gates: the bit-exactness contract of the sweep runner, end
 # to end. One reference sweep (quick table1 at --jobs 1) must come out

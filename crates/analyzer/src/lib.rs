@@ -14,7 +14,7 @@
 //! current catalog:
 //!
 //! * **panic** — `unwrap()`/`expect()`/`panic!`-family calls in non-test
-//!   simulation library code, ratcheted by the `[panic_sites]` baseline;
+//!   simulation library code;
 //! * **lock_order** — `.acquire(` call sites must canonically order lock
 //!   targets first (deadlock-freedom discipline);
 //! * **raw_time** — floating-point `SimTime` construction is confined to
@@ -25,162 +25,41 @@
 //! * **hot_path_alloc** — no heap allocation in the audited
 //!   per-reference hot-path functions of `odb-memsim`;
 //! * **unordered_iteration**, **ambient_nondeterminism**,
-//!   **rng_discipline**, **float_accumulation** — the determinism-audit
-//!   family ([`passes::determinism`]) certifying the bit-exactness
-//!   contract, ratcheted by the `[determinism]` baseline.
+//!   **rng_discipline**, **float_accumulation**, **thread_collection** —
+//!   the determinism-audit family ([`passes::determinism`]) certifying
+//!   the bit-exactness contract.
 //!
-//! Escape hatch (all passes, one syntax): `// odb-analyzer: allow(<lint>)`
-//! on the offending line, or on the line directly above it.
+//! Every site a pass finds is a violation. The one way to accept a site
+//! (all passes, one syntax) is `// odb-analyzer: allow(<lint>)` on the
+//! offending line, or on the line directly above it, with the
+//! justification next to it.
 //!
 //! Run as `cargo run -p odb-analyzer`; exits non-zero on any violation.
-//! `--json` renders a machine-readable report for CI archival.
 
 // Unit tests use unwrap() freely; the workspace-level
 // `clippy::unwrap_used` deny applies to shipped code only.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod baseline;
 pub mod passes;
 pub mod report;
 pub mod source;
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-
-/// Everything one analysis run produced.
-#[derive(Debug)]
-pub struct Analysis {
-    /// Violations that fail the gate, in discovery order.
-    pub violations: Vec<report::Violation>,
-    /// Non-fatal notices (missing-baseline and ratchet-down suggestions).
-    pub notices: Vec<String>,
-    /// Counted (baseline-ratcheted) sites per `(section, crate)`,
-    /// including zero-count entries for every audited crate.
-    pub counted: BTreeMap<(String, String), Vec<passes::CountedSite>>,
-}
-
-impl Analysis {
-    /// `true` when the tree passes the gate.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Counted sites per crate under one baseline section, in crate
-    /// order.
-    pub fn section_counts(&self, section: &str) -> Vec<(&str, usize)> {
-        self.counted
-            .iter()
-            .filter(|((sec, _), _)| sec == section)
-            .map(|((_, krate), sites)| (krate.as_str(), sites.len()))
-            .collect()
-    }
-
-    /// Total counted sites across all sections.
-    pub fn total_counted(&self) -> usize {
-        self.counted.values().map(Vec::len).sum()
-    }
-}
+use std::path::Path;
 
 /// Runs every registered pass over the workspace rooted at `root` (the
-/// directory holding the top-level `Cargo.toml` and `crates/`), then
-/// holds the counted sites against the checked-in baseline.
+/// directory holding the top-level `Cargo.toml` and `crates/`) and
+/// returns the violations in discovery order; the tree passes the gate
+/// when there are none.
 ///
 /// # Errors
 ///
 /// Returns an error string when the tree cannot be read at all (missing
-/// `crates/` directory, malformed baseline file); individual unreadable
-/// files are reported as violations instead of aborting the run.
-pub fn analyze(root: &Path) -> Result<Analysis, String> {
+/// `crates/` directory or an unreadable source file).
+pub fn analyze(root: &Path) -> Result<Vec<report::Violation>, String> {
     let model = source::WorkspaceModel::load(root)?;
-    let mut ctx = passes::PassContext::default();
+    let mut violations = Vec::new();
     for pass in passes::registry() {
-        pass.run(&model, &mut ctx);
+        pass.run(&model, &mut violations);
     }
-
-    let baseline_path = baseline_path(root);
-    let base = match baseline::Baseline::load(&baseline_path) {
-        Ok(base) => base,
-        Err(baseline::LoadError::Missing) => {
-            // No baseline at all: nothing is allowed, so every counted
-            // site below becomes a violation — forcing a baseline to be
-            // checked in rather than grandfathered invisibly.
-            if ctx.counted.values().any(|sites| !sites.is_empty()) {
-                ctx.note(format!(
-                    "no baseline exists at {}; run with --update-baseline to record \
-                     the current counts",
-                    baseline_path.display()
-                ));
-            }
-            baseline::Baseline::default()
-        }
-        Err(baseline::LoadError::Malformed(why)) => {
-            return Err(format!(
-                "malformed baseline {}: {why}",
-                baseline_path.display()
-            ));
-        }
-    };
-
-    for ((section, krate), sites) in &ctx.counted {
-        let allowed = base.allowed(section, krate);
-        let count = sites.len();
-        if count > allowed {
-            for site in sites {
-                ctx.violations.push(report::Violation::new(
-                    site.lint,
-                    &site.path,
-                    site.line,
-                    format!(
-                        "{} [crate `{krate}` has {count} counted site(s) under \
-                         [{section}], baseline allows {allowed}]",
-                        site.message
-                    ),
-                ));
-            }
-        } else if count < allowed {
-            ctx.notices.push(format!(
-                "crate `{krate}` is below its [{section}] baseline ({count} < {allowed}); \
-                 run with --update-baseline to ratchet it down"
-            ));
-        }
-    }
-
-    Ok(Analysis {
-        violations: ctx.violations,
-        notices: ctx.notices,
-        counted: ctx.counted,
-    })
-}
-
-/// Where the burn-down baseline lives, relative to the workspace root.
-pub fn baseline_path(root: &Path) -> PathBuf {
-    root.join("crates").join("analyzer").join("baseline.toml")
-}
-
-/// Re-counts every baseline-ratcheted site and rewrites the baseline
-/// file, returning `(section, crate, count)` triples in file order.
-///
-/// # Errors
-///
-/// Returns an error string when the tree or the baseline file cannot be
-/// accessed.
-pub fn update_baseline(root: &Path) -> Result<Vec<(String, String, usize)>, String> {
-    let model = source::WorkspaceModel::load(root)?;
-    let mut ctx = passes::PassContext::default();
-    for pass in passes::registry() {
-        pass.run(&model, &mut ctx);
-    }
-    let counts: Vec<(String, String, usize)> = ctx
-        .counted
-        .iter()
-        .map(|((section, krate), sites)| (section.clone(), krate.clone(), sites.len()))
-        .collect();
-    baseline::Baseline::from_counts(
-        counts
-            .iter()
-            .map(|(section, krate, count)| (section.as_str(), krate.as_str(), *count)),
-    )
-    .store(&baseline_path(root))
-    .map_err(|e| format!("writing baseline: {e}"))?;
-    Ok(counts)
+    Ok(violations)
 }

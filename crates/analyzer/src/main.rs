@@ -13,10 +13,7 @@ USAGE:
 
 OPTIONS:
     --root <DIR>         workspace root (default: autodetected)
-    --json               print a machine-readable report (odb-analyzer-report-v1)
     --list-lints         print one line per registered lint (id first) and exit
-    --update-baseline    re-count ratcheted sites and rewrite crates/analyzer/baseline.toml
-    --verbose            list every counted (baseline-ratcheted) site
     --help               show this help
 
 Run `--list-lints` for the pass catalog.
@@ -25,27 +22,18 @@ the line directly above it.";
 
 struct Options {
     root: Option<PathBuf>,
-    update_baseline: bool,
-    verbose: bool,
-    json: bool,
     list_lints: bool,
 }
 
 fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
         root: None,
-        update_baseline: false,
-        verbose: false,
-        json: false,
         list_lints: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
-            "--update-baseline" => opts.update_baseline = true,
-            "--verbose" | "-v" => opts.verbose = true,
-            "--json" => opts.json = true,
             "--list-lints" => opts.list_lints = true,
             "--root" => {
                 let dir = args.next().ok_or("--root requires a directory argument")?;
@@ -93,95 +81,28 @@ fn main() -> ExitCode {
     if opts.list_lints {
         // One line per pass: the stable id first (machine-parsed by the
         // ci drift check against the README catalog), then the
-        // description and baseline section.
+        // description.
         for pass in odb_analyzer::passes::registry() {
-            let section = pass
-                .baseline_section()
-                .map(|s| format!("  [baseline: {s}]"))
-                .unwrap_or_default();
-            println!("{:<24} {}{section}", pass.lint().name(), pass.description());
+            println!("{:<24} {}", pass.lint().name(), pass.description());
         }
         return ExitCode::SUCCESS;
     }
 
-    let root = find_root(&opts);
-
-    if opts.update_baseline {
-        return match odb_analyzer::update_baseline(&root) {
-            Ok(counts) => {
-                println!(
-                    "baseline written to {}",
-                    odb_analyzer::baseline_path(&root).display()
-                );
-                let mut last_section = String::new();
-                for (section, krate, count) in counts {
-                    if section != last_section {
-                        println!("  [{section}]");
-                        last_section = section;
-                    }
-                    println!("    {krate} = {count}");
-                }
-                ExitCode::SUCCESS
-            }
-            Err(why) => {
-                eprintln!("error: {why}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    let analysis = match odb_analyzer::analyze(&root) {
-        Ok(a) => a,
+    let violations = match odb_analyzer::analyze(&find_root(&opts)) {
+        Ok(violations) => violations,
         Err(why) => {
             eprintln!("error: {why}");
             return ExitCode::from(2);
         }
     };
-
-    if opts.json {
-        let lints: Vec<(odb_analyzer::report::Lint, &str)> = odb_analyzer::passes::registry()
-            .iter()
-            .map(|p| (p.lint(), p.description()))
-            .collect();
-        print!("{}", odb_analyzer::report::render_json(&analysis, &lints));
-        return if analysis.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    if opts.verbose {
-        for ((section, krate), sites) in &analysis.counted {
-            println!(
-                "[{section}] crate `{krate}`: {} counted site(s)",
-                sites.len()
-            );
-            for site in sites {
-                println!("  {}:{}: [{}]", site.path, site.line, site.lint.name());
-            }
-        }
-    }
-
-    for notice in &analysis.notices {
-        println!("note: {notice}");
-    }
-    if analysis.is_clean() {
-        println!(
-            "odb-analyzer: clean ({} baselined site(s) across {} (section, crate) entr{})",
-            analysis.total_counted(),
-            analysis.counted.len(),
-            if analysis.counted.len() == 1 { "y" } else { "ies" }
-        );
+    if violations.is_empty() {
+        println!("odb-analyzer: clean");
         ExitCode::SUCCESS
     } else {
-        for v in &analysis.violations {
+        for v in &violations {
             println!("{v}");
         }
-        println!(
-            "odb-analyzer: {} violation(s) — see above",
-            analysis.violations.len()
-        );
+        println!("odb-analyzer: {} violation(s) — see above", violations.len());
         ExitCode::FAILURE
     }
 }

@@ -28,19 +28,13 @@
 //!   order workers *finish*, which differs run to run under load. The
 //!   within-point parallel paths instead write into pre-partitioned
 //!   per-worker slots merged in a fixed index order.
-//!
-//! All five count sites under the `[determinism]` baseline section,
-//! per crate, ratcheted to zero.
 
-use super::{CountedSite, Pass, PassContext};
-use crate::report::Lint;
+use super::Pass;
+use crate::report::{Lint, Violation};
 use crate::source::WorkspaceModel;
 
 /// Crates audited for determinism: the whole simulation stack.
 pub const DET_AUDITED: &[&str] = &["core", "des", "engine", "memsim", "ossim", "iosim"];
-
-/// The shared baseline section of the family.
-pub const DET_SECTION: &str = "determinism";
 
 /// Import lines introduce a type, not a use of its iteration order;
 /// the declaration/iteration sites are where the risk lives.
@@ -49,41 +43,24 @@ fn is_use_line(code: &str) -> bool {
     t.starts_with("use ") || t.starts_with("pub use ") || t.starts_with("pub(crate) use ")
 }
 
-/// Runs `per_line` over every non-test, non-escaped line of the audited
-/// crates, registering every audited crate under [`DET_SECTION`] first
-/// so clean crates still ratchet to zero.
+/// Runs `per_line` over every line of the audited crates that is neither
+/// test code nor escaped for `lint`, reporting each message it returns
+/// as a `lint` violation.
 fn scan_audited(
     model: &WorkspaceModel,
-    ctx: &mut PassContext,
-    escape: &str,
+    out: &mut Vec<Violation>,
+    lint: Lint,
     mut per_line: impl FnMut(&str) -> Option<String>,
 ) {
-    let lint = match escape {
-        "unordered_iteration" => Lint::UnorderedIteration,
-        "ambient_nondeterminism" => Lint::AmbientNondeterminism,
-        "rng_discipline" => Lint::RngDiscipline,
-        "thread_collection" => Lint::ThreadCollection,
-        _ => Lint::FloatAccumulation,
-    };
     for name in DET_AUDITED {
-        ctx.crate_sites(DET_SECTION, name);
         let Some(krate) = model.get(name) else { continue };
         for file in &krate.src_files {
             for (i, line) in file.lines.iter().enumerate() {
-                if line.in_test || line.allows(escape) {
+                if line.in_test || line.allows(lint.name()) {
                     continue;
                 }
                 if let Some(message) = per_line(&line.code) {
-                    ctx.count_site(
-                        DET_SECTION,
-                        name,
-                        CountedSite {
-                            lint,
-                            path: file.rel_path.clone(),
-                            line: i + 1,
-                            message,
-                        },
-                    );
+                    out.push(Violation::new(lint, &file.rel_path, i + 1, message));
                 }
             }
         }
@@ -107,12 +84,8 @@ impl Pass for UnorderedIterationPass {
         "HashMap/HashSet in non-test simulation code (iteration order is per-run random)"
     }
 
-    fn baseline_section(&self) -> Option<&'static str> {
-        Some(DET_SECTION)
-    }
-
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext) {
-        scan_audited(model, ctx, "unordered_iteration", |code| {
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>) {
+        scan_audited(model, out, Lint::UnorderedIteration, |code| {
             if is_use_line(code) {
                 return None;
             }
@@ -155,12 +128,8 @@ impl Pass for AmbientNondeterminismPass {
         "wall-clock/thread-id/env-var/pointer-hash inputs in simulation code"
     }
 
-    fn baseline_section(&self) -> Option<&'static str> {
-        Some(DET_SECTION)
-    }
-
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext) {
-        scan_audited(model, ctx, "ambient_nondeterminism", |code| {
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>) {
+        scan_audited(model, out, Lint::AmbientNondeterminism, |code| {
             if is_use_line(code) {
                 return None;
             }
@@ -195,12 +164,8 @@ impl Pass for RngDisciplinePass {
         "RNG construction outside the seeded SimOptions::for_point splitmix path"
     }
 
-    fn baseline_section(&self) -> Option<&'static str> {
-        Some(DET_SECTION)
-    }
-
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext) {
-        scan_audited(model, ctx, "rng_discipline", |code| {
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>) {
+        scan_audited(model, out, Lint::RngDiscipline, |code| {
             if is_use_line(code) {
                 return None;
             }
@@ -275,12 +240,8 @@ impl Pass for FloatAccumulationPass {
         "float reductions over unordered/thread-collected sources (order-dependent sums)"
     }
 
-    fn baseline_section(&self) -> Option<&'static str> {
-        Some(DET_SECTION)
-    }
-
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext) {
-        scan_audited(model, ctx, "float_accumulation", |code| {
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>) {
+        scan_audited(model, out, Lint::FloatAccumulation, |code| {
             let reduce = FLOAT_REDUCE_TOKENS.iter().find(|t| code.contains(**t))?;
             let source = UNORDERED_SOURCE_TOKENS
                 .iter()
@@ -329,12 +290,8 @@ impl Pass for ThreadCollectionPass {
         "completion-order collection of worker results (channels, Mutex<Vec>) in simulation code"
     }
 
-    fn baseline_section(&self) -> Option<&'static str> {
-        Some(DET_SECTION)
-    }
-
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext) {
-        scan_audited(model, ctx, "thread_collection", |code| {
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>) {
+        scan_audited(model, out, Lint::ThreadCollection, |code| {
             if is_use_line(code) {
                 return None;
             }
@@ -369,12 +326,6 @@ mod tests {
         }
     }
 
-    fn det_sites(ctx: &PassContext, krate: &str) -> usize {
-        ctx.counted
-            .get(&(DET_SECTION.to_owned(), krate.to_owned()))
-            .map_or(0, Vec::len)
-    }
-
     #[test]
     fn use_lines_and_tests_are_skipped() {
         let model = model_with(
@@ -385,9 +336,9 @@ mod tests {
              #[cfg(test)]\n\
              mod tests { struct T { m: HashMap<u32, u32> } }\n",
         );
-        let mut ctx = PassContext::default();
-        UnorderedIterationPass.run(&model, &mut ctx);
-        assert_eq!(det_sites(&ctx, "des"), 1, "{:?}", ctx.counted);
+        let mut out = Vec::new();
+        UnorderedIterationPass.run(&model, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
     }
 
     #[test]
@@ -398,23 +349,9 @@ mod tests {
             "// odb-analyzer: allow(unordered_iteration) — point access only\n\
              struct S { m: HashMap<u32, u32> }\n",
         );
-        let mut ctx = PassContext::default();
-        UnorderedIterationPass.run(&model, &mut ctx);
-        assert_eq!(det_sites(&ctx, "des"), 0);
-    }
-
-    #[test]
-    fn clean_crates_still_register_for_the_ratchet() {
-        let model = model_with("crates/des/src/x.rs", "des", "fn a() {}\n");
-        let mut ctx = PassContext::default();
-        UnorderedIterationPass.run(&model, &mut ctx);
-        for name in DET_AUDITED {
-            assert!(
-                ctx.counted
-                    .contains_key(&(DET_SECTION.to_owned(), (*name).to_owned())),
-                "{name} missing from the determinism section"
-            );
-        }
+        let mut out = Vec::new();
+        UnorderedIterationPass.run(&model, &mut out);
+        assert_eq!(out.len(), 0, "{out:?}");
     }
 
     #[test]
@@ -434,9 +371,9 @@ mod tests {
              fn b(seed: u64) { let r = SmallRng::seed_from_u64(seed); }\n\
              fn c() { let r = SmallRng::seed_from_u64(42); }\n",
         );
-        let mut ctx = PassContext::default();
-        RngDisciplinePass.run(&model, &mut ctx);
-        assert_eq!(det_sites(&ctx, "engine"), 2, "{:?}", ctx.counted);
+        let mut out = Vec::new();
+        RngDisciplinePass.run(&model, &mut out);
+        assert_eq!(out.len(), 2, "{out:?}");
     }
 
     #[test]
@@ -448,9 +385,9 @@ mod tests {
              fn b(v: &[f64]) -> f64 { v.iter().sum::<f64>() }\n\
              fn c(m: &HashMap<u32, f64>) -> usize { m.len() }\n",
         );
-        let mut ctx = PassContext::default();
-        FloatAccumulationPass.run(&model, &mut ctx);
-        assert_eq!(det_sites(&ctx, "engine"), 1, "{:?}", ctx.counted);
+        let mut out = Vec::new();
+        FloatAccumulationPass.run(&model, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
     }
 
     #[test]
@@ -463,11 +400,11 @@ mod tests {
              fn b() { let (tx, rx) = mpsc::channel(); }\n\
              fn c(rx: &Receiver<Row>) { while let Ok(row) = rx.recv() {} }\n",
         );
-        let mut ctx = PassContext::default();
-        ThreadCollectionPass.run(&model, &mut ctx);
+        let mut out = Vec::new();
+        ThreadCollectionPass.run(&model, &mut out);
         // Line 1 is `Mutex::new(Vec::new())` — not a declared shared-Vec
         // type, so only the typed field, the channel, and the drain fire.
-        assert_eq!(det_sites(&ctx, "memsim"), 3, "{:?}", ctx.counted);
+        assert_eq!(out.len(), 3, "{out:?}");
     }
 
     #[test]
@@ -483,9 +420,9 @@ mod tests {
              #[cfg(test)]\n\
              mod tests { fn t(rx: Receiver<u8>) { rx.recv().unwrap(); } }\n",
         );
-        let mut ctx = PassContext::default();
-        ThreadCollectionPass.run(&model, &mut ctx);
-        assert_eq!(det_sites(&ctx, "memsim"), 0, "{:?}", ctx.counted);
+        let mut out = Vec::new();
+        ThreadCollectionPass.run(&model, &mut out);
+        assert_eq!(out.len(), 0, "{out:?}");
     }
 
     #[test]
@@ -497,8 +434,8 @@ mod tests {
              // odb-analyzer: allow(ambient_nondeterminism) — stderr diagnostics\n\
              fn b() { let t = std::time::Instant::now(); }\n",
         );
-        let mut ctx = PassContext::default();
-        AmbientNondeterminismPass.run(&model, &mut ctx);
-        assert_eq!(det_sites(&ctx, "engine"), 1, "{:?}", ctx.counted);
+        let mut out = Vec::new();
+        AmbientNondeterminismPass.run(&model, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
     }
 }

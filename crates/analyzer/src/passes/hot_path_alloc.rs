@@ -1,7 +1,7 @@
 //! The hot-path allocation pass: no heap allocation in the audited
 //! per-reference functions of the characterization loop.
 
-use super::{mark_fn_bodies, Pass, PassContext};
+use super::{mark_fn_bodies, Pass};
 use crate::report::{Lint, Violation};
 use crate::source::WorkspaceModel;
 
@@ -86,11 +86,11 @@ impl Pass for HotPathAllocPass {
         "heap allocation inside the audited per-reference hot-path functions of odb-memsim"
     }
 
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext) {
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>) {
         let Some(krate) = model.get("memsim") else { return };
         for (path, functions) in HOT_PATH_AUDITED {
             let Some(file) = krate.src_files.iter().find(|f| f.rel_path == *path) else {
-                ctx.push(Violation::new(
+                out.push(Violation::new(
                     Lint::HotPathAlloc,
                     path,
                     0,
@@ -107,7 +107,7 @@ impl Pass for HotPathAllocPass {
                     !l.in_test && (l.code.contains(&fn_paren) || l.code.contains(&fn_generic))
                 });
                 if !declared {
-                    ctx.push(Violation::new(
+                    out.push(Violation::new(
                         Lint::HotPathAlloc,
                         &file.rel_path,
                         0,
@@ -125,7 +125,7 @@ impl Pass for HotPathAllocPass {
                     continue;
                 }
                 if ALLOC_TOKENS.iter().any(|t| line.code.contains(t)) {
-                    ctx.push(Violation::new(
+                    out.push(Violation::new(
                         Lint::HotPathAlloc,
                         &file.rel_path,
                         i + 1,

@@ -1,6 +1,6 @@
 //! The lock-order pass: the deadlock-freedom discipline.
 
-use super::{Pass, PassContext};
+use super::Pass;
 use crate::report::{Lint, Violation};
 use crate::source::WorkspaceModel;
 
@@ -22,7 +22,7 @@ impl Pass for LockOrderPass {
         ".acquire( call sites without a preceding canonical_order sort in the same file"
     }
 
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext) {
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>) {
         for name in LOCK_AUDITED {
             let Some(krate) = model.get(name) else { continue };
             for file in &krate.src_files {
@@ -42,7 +42,7 @@ impl Pass for LockOrderPass {
                     if line.code.contains(".acquire(") && !line.allows("lock_order") {
                         let sorted_before = sort_seen_at.is_some_and(|s| s < i);
                         if !sorted_before {
-                            ctx.push(Violation::new(
+                            out.push(Violation::new(
                                 Lint::LockOrder,
                                 &file.rel_path,
                                 i + 1,

@@ -1,16 +1,10 @@
 //! The pass registry: every lint is a [`Pass`] with a stable id, a
-//! one-line description, an optional baseline section, and a `run`
-//! method that pushes span-carrying diagnostics into a [`PassContext`].
+//! one-line description, and a `run` method that pushes span-carrying
+//! violations, each of which fails the gate.
 //!
 //! All passes share one escape syntax — `// odb-analyzer: allow(<id>)`
-//! on the offending line or the line directly above it — and two
-//! diagnostic channels:
-//!
-//! * **immediate violations** ([`PassContext::push`]) fail the gate
-//!   directly;
-//! * **counted sites** ([`PassContext::count_site`]) are held against
-//!   the per-crate burn-down baseline for the pass's section; growth
-//!   beyond the baseline turns each site into a violation.
+//! on the offending line or the line directly above it — and it is the
+//! only way to accept a site.
 
 pub mod determinism;
 pub mod hot_path_alloc;
@@ -21,58 +15,7 @@ pub mod raw_time;
 pub mod stray_files;
 
 use crate::report::{Lint, Violation};
-use crate::source::WorkspaceModel;
-use std::collections::BTreeMap;
-
-/// One counted (baseline-ratcheted) site.
-#[derive(Debug, Clone)]
-pub struct CountedSite {
-    /// The lint that counted it.
-    pub lint: Lint,
-    /// Repo-relative path.
-    pub path: String,
-    /// 1-based line.
-    pub line: usize,
-    /// What was found and how to fix it.
-    pub message: String,
-}
-
-/// Shared sink the passes write diagnostics into.
-#[derive(Debug, Default)]
-pub struct PassContext {
-    /// Gate-failing findings, in discovery order.
-    pub violations: Vec<Violation>,
-    /// Non-fatal notices (missing-baseline and ratchet-down suggestions).
-    pub notices: Vec<String>,
-    /// Counted sites per `(baseline section, crate)`, including empty
-    /// entries for audited crates so the baseline can ratchet to zero.
-    pub counted: BTreeMap<(String, String), Vec<CountedSite>>,
-}
-
-impl PassContext {
-    /// Records a gate-failing violation.
-    pub fn push(&mut self, v: Violation) {
-        self.violations.push(v);
-    }
-
-    /// Records a non-fatal notice.
-    pub fn note(&mut self, n: String) {
-        self.notices.push(n);
-    }
-
-    /// Registers `krate` under `section` (so a clean crate still gets a
-    /// zero count), returning the site vector to append to.
-    pub fn crate_sites(&mut self, section: &str, krate: &str) -> &mut Vec<CountedSite> {
-        self.counted
-            .entry((section.to_owned(), krate.to_owned()))
-            .or_default()
-    }
-
-    /// Appends one counted site for `krate` under `section`.
-    pub fn count_site(&mut self, section: &str, krate: &str, site: CountedSite) {
-        self.crate_sites(section, krate).push(site);
-    }
-}
+use crate::source::{mark_items, WorkspaceModel};
 
 /// One static-analysis pass.
 pub trait Pass {
@@ -83,14 +26,8 @@ pub trait Pass {
     /// One-line description for `--list-lints`.
     fn description(&self) -> &'static str;
 
-    /// The baseline section this pass's counted sites ratchet under,
-    /// if it is baseline-ratcheted rather than hard-failing.
-    fn baseline_section(&self) -> Option<&'static str> {
-        None
-    }
-
-    /// Scans the workspace, pushing diagnostics into `ctx`.
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext);
+    /// Scans the workspace, pushing violations into `out`.
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>);
 }
 
 /// Every pass, in execution (and `--list-lints`) order.
@@ -110,107 +47,23 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
     ]
 }
 
-/// Marks which lines sit inside a `#[cfg(feature = …)]` item, with the
-/// same brace-walking approach (and limitations) as the `#[cfg(test)]`
-/// marker in [`crate::source`].
+/// Marks which lines sit inside a `#[cfg(feature = …)]` item (see
+/// [`mark_items`] for where an item ends).
 pub(crate) fn mark_cfg_feature(code_lines: &[&str]) -> Vec<bool> {
-    let mut out = vec![false; code_lines.len()];
-    let mut depth: i64 = 0;
-    // Depth at which the innermost #[cfg(feature…)] item opened, if any.
-    let mut open_depth: Option<i64> = None;
-    let mut pending_attr = false;
-    for (i, raw) in code_lines.iter().enumerate() {
-        if open_depth.is_some() {
-            out[i] = true;
-        }
-        if open_depth.is_none() && raw.contains("#[cfg(") && raw.contains("feature") {
-            pending_attr = true;
-            out[i] = true;
-        }
-        for c in raw.chars() {
-            match c {
-                '{' => {
-                    if pending_attr && open_depth.is_none() {
-                        open_depth = Some(depth);
-                        pending_attr = false;
-                        out[i] = true;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if open_depth == Some(depth) {
-                        open_depth = None;
-                        out[i] = true;
-                    }
-                }
-                // `#[cfg(feature = …)] use …;` or a bodyless statement.
-                ';' if pending_attr && open_depth.is_none() => {
-                    pending_attr = false;
-                    out[i] = true;
-                }
-                _ => {}
-            }
-        }
-        if open_depth.is_some() || pending_attr {
-            out[i] = true;
-        }
-    }
-    out
+    mark_items(code_lines, |line| {
+        line.find("#[cfg(").filter(|_| line.contains("feature"))
+    })
 }
 
-/// Marks which lines sit inside the body of any `fn <name>(`/`fn
-/// <name><` among `names`, with the same brace-walking approach (and
-/// limitations) as [`mark_cfg_feature`]. A bodyless declaration (trait
-/// method signature) opens nothing.
+/// Marks which lines sit inside any `fn <name>(`/`fn <name><` among
+/// `names`, signature and body (see [`mark_items`]). A bodyless
+/// declaration (trait method signature) ends at its `;`.
 pub(crate) fn mark_fn_bodies(code_lines: &[&str], names: &[&str]) -> Vec<bool> {
-    let mut out = vec![false; code_lines.len()];
-    let mut depth: i64 = 0;
-    // Depth at which the innermost audited fn's body opened, if any.
-    let mut open_depth: Option<i64> = None;
-    let mut pending = false;
-    for (i, raw) in code_lines.iter().enumerate() {
-        if open_depth.is_some() {
-            out[i] = true;
-        }
-        if open_depth.is_none()
-            && !pending
-            && names.iter().any(|n| {
-                raw.contains(&format!("fn {n}(")) || raw.contains(&format!("fn {n}<"))
-            })
-        {
-            pending = true;
-            out[i] = true;
-        }
-        for c in raw.chars() {
-            match c {
-                '{' => {
-                    if pending && open_depth.is_none() {
-                        open_depth = Some(depth);
-                        pending = false;
-                        out[i] = true;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if open_depth == Some(depth) {
-                        open_depth = None;
-                        out[i] = true;
-                    }
-                }
-                // Trait-method signature without a body.
-                ';' if pending && open_depth.is_none() => {
-                    pending = false;
-                }
-                _ => {}
-            }
-        }
-        if open_depth.is_some() {
-            out[i] = true;
-        }
-    }
-    out
+    let heads: Vec<String> = names
+        .iter()
+        .flat_map(|n| [format!("fn {n}("), format!("fn {n}<")])
+        .collect();
+    mark_items(code_lines, |line| heads.iter().find_map(|h| line.find(h.as_str())))
 }
 
 #[cfg(test)]

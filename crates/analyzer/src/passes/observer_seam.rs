@@ -1,7 +1,7 @@
 //! The observer-seam pass: hook emissions must fire in every build
 //! flavour.
 
-use super::{mark_cfg_feature, Pass, PassContext};
+use super::{mark_cfg_feature, Pass};
 use crate::report::{Lint, Violation};
 use crate::source::WorkspaceModel;
 
@@ -29,7 +29,7 @@ impl Pass for ObserverSeamPass {
         "observer-hook emissions hidden inside #[cfg(feature = ...)] blocks"
     }
 
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext) {
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>) {
         for name in OBSERVER_AUDITED {
             let Some(krate) = model.get(name) else { continue };
             for file in &krate.src_files {
@@ -41,7 +41,7 @@ impl Pass for ObserverSeamPass {
                         continue;
                     }
                     if EMIT_TOKENS.iter().any(|t| line.code.contains(t)) {
-                        ctx.push(Violation::new(
+                        out.push(Violation::new(
                             Lint::ObserverSeam,
                             &file.rel_path,
                             i + 1,
@@ -63,7 +63,6 @@ impl Pass for ObserverSeamPass {
 mod tests {
     use super::*;
     use crate::source::{CrateModel, SourceFile};
-    use crate::passes::PassContext;
 
     #[test]
     fn emit_inside_cfg_feature_is_flagged_and_escapable() {
@@ -89,11 +88,11 @@ mod tests {
             }],
             all_files: Vec::new(),
         };
-        let mut ctx = PassContext::default();
-        ObserverSeamPass.run(&model, &mut ctx);
-        assert_eq!(ctx.violations.len(), 1, "{:?}", ctx.violations);
-        assert_eq!(ctx.violations[0].lint, Lint::ObserverSeam);
-        assert_eq!(ctx.violations[0].path, "crates/engine/src/x.rs");
-        assert_eq!(ctx.violations[0].line, 3);
+        let mut out = Vec::new();
+        ObserverSeamPass.run(&model, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].lint, Lint::ObserverSeam);
+        assert_eq!(out[0].path, "crates/engine/src/x.rs");
+        assert_eq!(out[0].line, 3);
     }
 }

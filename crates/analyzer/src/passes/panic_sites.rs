@@ -1,9 +1,9 @@
 //! The panic-site pass: `unwrap()`/`expect()`/`panic!`-family calls in
-//! non-test library code of the simulation core, baseline-ratcheted.
+//! non-test library code of the simulation core.
 
-use super::{CountedSite, Pass, PassContext};
-use crate::report::Lint;
-use crate::source::{CrateModel, SourceFile, WorkspaceModel};
+use super::Pass;
+use crate::report::{Lint, Violation};
+use crate::source::{SourceFile, WorkspaceModel};
 
 /// Crates whose library code must not panic (the simulation core).
 pub const PANIC_AUDITED: &[&str] = &["core", "des", "engine", "memsim"];
@@ -20,53 +20,39 @@ const PANIC_TOKENS: &[&str] = &[
 
 /// Forbids `unwrap()`/`expect()`/`panic!`-family calls in non-test code
 /// of the audited crates, honouring `// odb-analyzer: allow(panic)`.
-/// Sites are counted per crate and held against the `[panic_sites]`
-/// baseline; growth beyond the baseline turns each site into a
-/// violation.
 pub struct PanicSites;
 
 impl Pass for PanicSites {
     fn lint(&self) -> Lint {
-        Lint::PanicBaseline
+        Lint::Panic
     }
 
     fn description(&self) -> &'static str {
         "unwrap()/expect()/panic!-family calls in non-test simulation library code"
     }
 
-    fn baseline_section(&self) -> Option<&'static str> {
-        Some("panic_sites")
-    }
-
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext) {
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>) {
         for name in PANIC_AUDITED {
-            // Register the crate even when absent or clean, so the
-            // baseline ratchets to (and stays at) zero.
-            ctx.crate_sites("panic_sites", name);
             let Some(krate) = model.get(name) else { continue };
             for file in &krate.src_files {
                 for (line, token) in file_panic_sites(file) {
-                    ctx.count_site(
-                        "panic_sites",
-                        name,
-                        CountedSite {
-                            lint: Lint::PanicBaseline,
-                            path: file.rel_path.clone(),
-                            line,
-                            message: format!(
-                                "counted panic site `{token}` in non-test library code; \
-                                 propagate a typed error instead (or annotate a documented \
-                                 contract panic with `// odb-analyzer: allow(panic)`)"
-                            ),
-                        },
-                    );
+                    out.push(Violation::new(
+                        Lint::Panic,
+                        &file.rel_path,
+                        line,
+                        format!(
+                            "panic site `{token}` in non-test library code; propagate a \
+                             typed error instead (or annotate a documented contract panic \
+                             with `// odb-analyzer: allow(panic)`)"
+                        ),
+                    ));
                 }
             }
         }
     }
 }
 
-/// `(line_number, token)` for every counted panic site in `file`.
+/// `(line_number, token)` for every panic site in `file`.
 pub fn file_panic_sites(file: &SourceFile) -> Vec<(usize, &'static str)> {
     let mut sites = Vec::new();
     for (i, line) in file.lines.iter().enumerate() {
@@ -82,18 +68,6 @@ pub fn file_panic_sites(file: &SourceFile) -> Vec<(usize, &'static str)> {
         }
     }
     sites
-}
-
-/// Lists every counted (non-allowed, non-test) panic site of a crate,
-/// for `--verbose` output.
-pub fn describe_panic_sites(krate: &CrateModel) -> Vec<String> {
-    let mut out = Vec::new();
-    for file in &krate.src_files {
-        for (line, token) in file_panic_sites(file) {
-            out.push(format!("{}:{line}: {token}", file.rel_path));
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The raw-time pass: floating-point simulated-time construction is
 //! confined to `crates/des/src/time.rs`.
 
-use super::{Pass, PassContext};
+use super::Pass;
 use crate::report::{Lint, Violation};
 use crate::source::WorkspaceModel;
 
@@ -30,7 +30,7 @@ impl Pass for RawTimePass {
         "floating-point SimTime construction outside crates/des/src/time.rs"
     }
 
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext) {
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>) {
         const CONSTRUCTORS: &[&str] = &[
             "from_nanos(",
             "from_micros(",
@@ -47,7 +47,7 @@ impl Pass for RawTimePass {
                         continue;
                     }
                     if line.code.contains("from_secs_f64(") {
-                        ctx.push(Violation::new(
+                        out.push(Violation::new(
                             Lint::RawTime,
                             &file.rel_path,
                             i + 1,
@@ -60,7 +60,7 @@ impl Pass for RawTimePass {
                     if line.code.contains("as u64")
                         && CONSTRUCTORS.iter().any(|c| line.code.contains(c))
                     {
-                        ctx.push(Violation::new(
+                        out.push(Violation::new(
                             Lint::RawTime,
                             &file.rel_path,
                             i + 1,

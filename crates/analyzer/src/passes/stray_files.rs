@@ -1,6 +1,6 @@
 //! The stray-file pass: editor droppings and orphan modules.
 
-use super::{Pass, PassContext};
+use super::Pass;
 use crate::report::{Lint, Violation};
 use crate::source::{CrateModel, SourceFile, WorkspaceModel};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -27,10 +27,10 @@ impl Pass for StrayFilesPass {
          *.part, *.cache) and orphan .rs modules no mod declaration reaches"
     }
 
-    fn run(&self, model: &WorkspaceModel, ctx: &mut PassContext) {
+    fn run(&self, model: &WorkspaceModel, out: &mut Vec<Violation>) {
         for path in &model.all_files {
             if STRAY_SUFFIXES.iter().any(|s| path.ends_with(s)) {
-                ctx.push(Violation::new(
+                out.push(Violation::new(
                     Lint::StrayFile,
                     path,
                     0,
@@ -41,13 +41,13 @@ impl Pass for StrayFilesPass {
             }
         }
         for krate in &model.crates {
-            orphan_modules(krate, ctx);
+            orphan_modules(krate, out);
         }
     }
 }
 
 /// Breadth-first module-reachability walk from the crate roots.
-fn orphan_modules(krate: &CrateModel, ctx: &mut PassContext) {
+fn orphan_modules(krate: &CrateModel, out: &mut Vec<Violation>) {
     let files: HashMap<&str, &SourceFile> = krate
         .src_files
         .iter()
@@ -91,7 +91,7 @@ fn orphan_modules(krate: &CrateModel, ctx: &mut PassContext) {
     }
     for path in &krate.src_rs_paths {
         if !reachable.contains(path) {
-            ctx.push(Violation::new(
+            out.push(Violation::new(
                 Lint::StrayFile,
                 path,
                 0,

@@ -1,4 +1,4 @@
-//! Violation types, lint identifiers, and rendering (text and JSON).
+//! Violation types, lint identifiers, and text rendering.
 
 use std::fmt;
 
@@ -9,8 +9,9 @@ use std::fmt;
 /// prints, and what the README lint catalog is drift-checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
-    /// Panic-site count exceeded (or missing) the checked-in baseline.
-    PanicBaseline,
+    /// `unwrap()`/`expect()`/`panic!`-family call in non-test simulation
+    /// library code.
+    Panic,
     /// `.acquire(` without canonical-order sorting.
     LockOrder,
     /// Floating-point simulated-time construction outside `des/src/time.rs`.
@@ -39,7 +40,7 @@ impl Lint {
     /// markers.
     pub fn name(self) -> &'static str {
         match self {
-            Lint::PanicBaseline => "panic",
+            Lint::Panic => "panic",
             Lint::LockOrder => "lock_order",
             Lint::RawTime => "raw_time",
             Lint::ObserverSeam => "observer_seam",
@@ -59,7 +60,7 @@ impl Lint {
 pub struct Violation {
     /// The lint that fired.
     pub lint: Lint,
-    /// Repo-relative path (empty for workspace-level findings).
+    /// Repo-relative path.
     pub path: String,
     /// 1-based line number; 0 when the finding is about a whole file.
     pub line: usize,
@@ -77,113 +78,16 @@ impl Violation {
             message,
         }
     }
-
-    /// A workspace-level panic-baseline finding (no single anchor line).
-    pub fn baseline(message: String) -> Self {
-        Violation {
-            lint: Lint::PanicBaseline,
-            path: String::new(),
-            line: 0,
-            message,
-        }
-    }
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] ", self.lint.name())?;
-        if !self.path.is_empty() {
-            write!(f, "{}", self.path)?;
-            if self.line > 0 {
-                write!(f, ":{}", self.line)?;
-            }
-            write!(f, ": ")?;
+        write!(f, "[{}] {}", self.lint.name(), self.path)?;
+        if self.line > 0 {
+            write!(f, ":{}", self.line)?;
         }
-        write!(f, "{}", self.message)
+        write!(f, ": {}", self.message)
     }
-}
-
-/// Escapes `s` for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the machine-readable `--json` report for an analysis. The
-/// format is hand-rolled (the gate stays dependency-free); consumers can
-/// rely on `schema` for versioning.
-pub fn render_json(analysis: &crate::Analysis, lints: &[(Lint, &str)]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"odb-analyzer-report-v1\",\n");
-    s.push_str(&format!("  \"clean\": {},\n", analysis.is_clean()));
-    s.push_str("  \"lints\": [");
-    for (i, (lint, _)) in lints.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("\"{}\"", lint.name()));
-    }
-    s.push_str("],\n");
-    s.push_str("  \"violations\": [\n");
-    for (i, v) in analysis.violations.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"lint\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}\n",
-            v.lint.name(),
-            json_escape(&v.path),
-            v.line,
-            json_escape(&v.message),
-            if i + 1 < analysis.violations.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"notices\": [\n");
-    for (i, n) in analysis.notices.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{}\"{}\n",
-            json_escape(n),
-            if i + 1 < analysis.notices.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"counts\": {");
-    let mut sections: Vec<&str> = analysis
-        .counted
-        .keys()
-        .map(|(section, _)| section.as_str())
-        .collect();
-    sections.dedup();
-    for (si, section) in sections.iter().enumerate() {
-        if si > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("\"{section}\": {{"));
-        let mut first = true;
-        for ((sec, krate), sites) in &analysis.counted {
-            if sec != section {
-                continue;
-            }
-            if !first {
-                s.push_str(", ");
-            }
-            first = false;
-            s.push_str(&format!("\"{krate}\": {}", sites.len()));
-        }
-        s.push('}');
-    }
-    s.push_str("}\n}\n");
-    s
 }
 
 #[cfg(test)]
@@ -196,13 +100,5 @@ mod tests {
         assert_eq!(v.to_string(), "[raw_time] crates/x/src/a.rs:7: msg");
         let w = Violation::new(Lint::StrayFile, "junk.tmp", 0, "msg".into());
         assert_eq!(w.to_string(), "[stray_file] junk.tmp: msg");
-        let b = Violation::baseline("over".into());
-        assert_eq!(b.to_string(), "[panic] over");
-    }
-
-    #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

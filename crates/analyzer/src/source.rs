@@ -5,8 +5,8 @@
 //! `"panic!("` never matches), with two per-line annotations recovered
 //! during the blanking pass:
 //!
-//! * which lines sit inside a `#[cfg(test)]` item (tracked with a brace
-//!   counter over the blanked text), and
+//! * which lines sit inside a `#[cfg(test)]` item (tracked by
+//!   `mark_items`, a bracket counter over the blanked text), and
 //! * which escape markers are in force on each line (a marker covers its
 //!   own line and the line directly below it).
 //!
@@ -483,63 +483,110 @@ fn raw_str_closes(chars: &[char], i: usize, hashes: u32) -> bool {
     (1..=hashes as usize).all(|k| chars.get(i + k) == Some(&'#'))
 }
 
-/// Marks which lines are inside a `#[cfg(test)]` item by walking braces
-/// over the blanked code.
+/// Marks which lines are inside a `#[cfg(test)]` item.
 ///
 /// Limitation (documented in the README): a `#[cfg(test)] mod name;`
 /// pointing at a separate file does not mark that file as test code; the
 /// workspace keeps its tests inline, and the convention is enforced by
 /// this very tool staying useful.
 fn mark_cfg_test(code_lines: &[&str]) -> Vec<bool> {
+    mark_items(code_lines, |line| {
+        line.find("#[cfg(test)]")
+            .or_else(|| line.find("#[cfg(any(test"))
+    })
+}
+
+/// Marks the lines of every item that `start` finds, over blanked code.
+/// `start` returns the byte offset at which an item begins on a line
+/// (an attribute, or a `fn` head); it is not consulted inside an item,
+/// so items do not nest.
+///
+/// An item ends at the first of:
+/// * a `;` at the item's own nesting depth, counting `()`, `[]` and
+///   `{}`;
+/// * a `,` at that depth outside generic `<>` (a `<` glued to the
+///   identifier before it) and before any `where` (whose commas
+///   separate bounds);
+/// * the close of its first `{}` body;
+/// * the close of the enclosing bracket (a last field with no trailing
+///   comma).
+///
+/// So a field, a struct-literal field and a match arm end at their
+/// comma, while `fn f(a: u32, b: u32) { … }` runs to its closing brace.
+pub(crate) fn mark_items(
+    code_lines: &[&str],
+    start: impl Fn(&str) -> Option<usize>,
+) -> Vec<bool> {
+    /// Nesting of the open item, relative to where it began.
+    #[derive(Default)]
+    struct Open {
+        depth: i64,
+        angles: i64,
+        in_where: bool,
+    }
     let mut out = vec![false; code_lines.len()];
-    let mut depth: i64 = 0;
-    // Depth at which the innermost #[cfg(test)] item opened, if any.
-    let mut test_open_depth: Option<i64> = None;
-    let mut pending_attr = false;
-    for (i, raw) in code_lines.iter().enumerate() {
-        if test_open_depth.is_some() {
-            out[i] = true;
-        }
-        if test_open_depth.is_none()
-            && (raw.contains("#[cfg(test)]") || raw.contains("#[cfg(any(test"))
-        {
-            pending_attr = true;
-            out[i] = true;
-        }
-        for c in raw.chars() {
-            match c {
-                '{' => {
-                    if pending_attr && test_open_depth.is_none() {
-                        test_open_depth = Some(depth);
-                        pending_attr = false;
-                        out[i] = true;
-                    }
-                    depth += 1;
+    let mut open: Option<Open> = None;
+    for (i, line) in code_lines.iter().enumerate() {
+        let from = if open.is_some() {
+            0
+        } else if let Some(at) = start(line) {
+            open = Some(Open::default());
+            at
+        } else {
+            continue;
+        };
+        out[i] = true;
+        let bytes = line.as_bytes();
+        for j in from..bytes.len() {
+            let Some(item) = open.as_mut() else { break };
+            let prev = if j > 0 { bytes[j - 1] } else { b' ' };
+            let ends = match bytes[j] {
+                b'(' | b'[' | b'{' => {
+                    item.depth += 1;
+                    false
                 }
-                '}' => {
-                    depth -= 1;
-                    if test_open_depth == Some(depth) {
-                        // The closing line (possibly also the opening one,
-                        // for a single-line body) is still test code.
-                        test_open_depth = None;
-                        out[i] = true;
-                    }
+                b')' | b']' => {
+                    item.depth -= 1;
+                    item.depth < 0
                 }
-                // `#[cfg(test)] use …;` or `mod t;` without a body.
-                ';' if pending_attr && test_open_depth.is_none() => {
-                    pending_attr = false;
-                    out[i] = true;
+                b'}' => {
+                    item.depth -= 1;
+                    item.depth <= 0
                 }
-                _ => {}
+                b'<' if item.depth == 0 && (is_ident_byte(prev) || prev == b':') => {
+                    item.angles += 1;
+                    false
+                }
+                b'>' if item.depth == 0 && item.angles > 0 && prev != b'-' && prev != b'=' => {
+                    item.angles -= 1;
+                    false
+                }
+                b'w' if item.depth == 0 && is_word_at(bytes, j, b"where") => {
+                    item.in_where = true;
+                    false
+                }
+                b';' => item.depth == 0,
+                b',' => item.depth == 0 && item.angles == 0 && !item.in_where,
+                _ => false,
+            };
+            if ends {
+                open = None;
             }
-        }
-        // Mark the line that *opened* the block (e.g. `mod tests {`) and
-        // any line still waiting between attribute and body.
-        if test_open_depth.is_some() || pending_attr {
-            out[i] = true;
         }
     }
     out
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// `true` when `word` starts at `bytes[at]` as a whole identifier.
+fn is_word_at(bytes: &[u8], at: usize, word: &[u8]) -> bool {
+    let end = at + word.len();
+    bytes[at..].starts_with(word)
+        && (at == 0 || !is_ident_byte(bytes[at - 1]))
+        && bytes.get(end).is_none_or(|b| !is_ident_byte(*b))
 }
 
 #[cfg(test)]
@@ -600,6 +647,47 @@ fn lib2() {}
         assert!(f.lines[3].in_test);
         assert!(f.lines[4].in_test);
         assert!(!f.lines[5].in_test, "code after the test mod");
+    }
+
+    #[test]
+    fn cfg_test_field_ends_at_its_comma() {
+        let text = "\
+pub struct S {
+    #[cfg(test)]
+    probe: BTreeMap<u32, u32>,
+    kept: u32,
+}
+pub fn lib() -> S {
+    S {
+        #[cfg(test)]
+        probe: BTreeMap::new(),
+        kept: 1,
+    }
+}
+";
+        let f = parse(text);
+        let in_test: Vec<usize> = (0..f.lines.len())
+            .filter(|&i| f.lines[i].in_test)
+            .collect();
+        assert_eq!(in_test, vec![1, 2, 7, 8], "only the attributes and their fields");
+    }
+
+    #[test]
+    fn cfg_test_fn_runs_to_its_closing_brace() {
+        let text = "\
+#[cfg(test)]
+fn helper<A, B>(a: A, b: B)
+where
+    A: Clone,
+    B: Clone,
+{
+    x.unwrap();
+}
+fn lib() {}
+";
+        let f = parse(text);
+        assert!((0..8).all(|i| f.lines[i].in_test));
+        assert!(!f.lines[8].in_test);
     }
 
     #[test]

@@ -60,8 +60,7 @@ fn write_hot_path_stubs(t: &TempTree) {
 }
 
 /// A minimal clean workspace covering every determinism-audited crate
-/// (memsim carrying the hot-path audit's functions as stubs), with both
-/// baseline sections ratcheted to zero.
+/// (memsim carrying the hot-path audit's functions as stubs).
 fn clean_tree(tag: &str) -> TempTree {
     let t = TempTree::new(tag);
     t.write(
@@ -79,17 +78,17 @@ fn clean_tree(tag: &str) -> TempTree {
         );
     }
     write_hot_path_stubs(&t);
-    t.write(
-        "crates/analyzer/baseline.toml",
-        "[panic_sites]\ncore = 0\ndes = 0\nengine = 0\nmemsim = 0\n\n\
-         [determinism]\ncore = 0\ndes = 0\nengine = 0\niosim = 0\nmemsim = 0\nossim = 0\n",
-    );
     t
 }
 
 fn lints_fired(root: &Path) -> Vec<Lint> {
-    let analysis = odb_analyzer::analyze(root).expect("analysis runs");
-    analysis.violations.iter().map(|v| v.lint).collect()
+    let violations = odb_analyzer::analyze(root).expect("analysis runs");
+    violations.iter().map(|v| v.lint).collect()
+}
+
+fn assert_clean(root: &Path) {
+    let violations = odb_analyzer::analyze(root).expect("analysis runs");
+    assert!(violations.is_empty(), "expected clean, got: {violations:?}");
 }
 
 /// Seeds `fixture` as `crates/des/src/lib.rs` and returns the fired
@@ -103,12 +102,7 @@ fn fired_with_fixture(tag: &str, fixture: &str) -> Vec<Lint> {
 #[test]
 fn determinism_clean_tree_passes() {
     let t = clean_tree("clean");
-    let analysis = odb_analyzer::analyze(&t.root).expect("analysis runs");
-    assert!(
-        analysis.is_clean(),
-        "expected clean, got: {:?}",
-        analysis.violations
-    );
+    assert_clean(&t.root);
 }
 
 #[test]
@@ -157,9 +151,8 @@ fn rng_discipline_positive_trips_both_shapes() {
         "crates/des/src/lib.rs",
         include_str!("fixtures/rng_discipline_pos.rs"),
     );
-    let analysis = odb_analyzer::analyze(&t.root).expect("analysis runs");
-    let rng: Vec<_> = analysis
-        .violations
+    let violations = odb_analyzer::analyze(&t.root).expect("analysis runs");
+    let rng: Vec<_> = violations
         .iter()
         .filter(|v| v.lint == Lint::RngDiscipline)
         .collect();
@@ -194,42 +187,6 @@ fn float_accumulation_negative_is_quiet() {
     assert!(fired.is_empty(), "fired: {fired:?}");
 }
 
-#[test]
-fn determinism_sites_are_baseline_ratcheted_not_hard_failed() {
-    // With a baseline entry covering the site, the gate stays green …
-    let t = clean_tree("ratchet");
-    t.write(
-        "crates/des/src/lib.rs",
-        include_str!("fixtures/unordered_iteration_pos.rs"),
-    );
-    t.write(
-        "crates/analyzer/baseline.toml",
-        "[panic_sites]\ncore = 0\ndes = 0\nengine = 0\nmemsim = 0\n\n\
-         [determinism]\ncore = 0\ndes = 1\nengine = 0\niosim = 0\nmemsim = 0\nossim = 0\n",
-    );
-    let analysis = odb_analyzer::analyze(&t.root).expect("analysis runs");
-    assert!(
-        analysis.is_clean(),
-        "baselined site should pass: {:?}",
-        analysis.violations
-    );
-
-    // … and a below-baseline count produces the ratchet-down notice.
-    let t2 = clean_tree("ratchet-down");
-    t2.write(
-        "crates/analyzer/baseline.toml",
-        "[panic_sites]\ncore = 0\ndes = 0\nengine = 0\nmemsim = 0\n\n\
-         [determinism]\ncore = 0\ndes = 1\nengine = 0\niosim = 0\nmemsim = 0\nossim = 0\n",
-    );
-    let analysis2 = odb_analyzer::analyze(&t2.root).expect("analysis runs");
-    assert!(analysis2.is_clean());
-    assert!(
-        analysis2.notices.iter().any(|n| n.contains("ratchet")),
-        "notices: {:?}",
-        analysis2.notices
-    );
-}
-
 /// The acceptance criterion in executable form: the analyzer runs clean
 /// on the workspace it ships in. Skipped when the build location no
 /// longer looks like the workspace (e.g. a copied-out binary).
@@ -242,12 +199,11 @@ fn self_audit_own_tree_is_clean() {
     if !root.join("Cargo.toml").is_file() || !root.join("crates").is_dir() {
         return;
     }
-    let analysis = odb_analyzer::analyze(&root).expect("analysis runs");
+    let violations = odb_analyzer::analyze(&root).expect("analysis runs");
     assert!(
-        analysis.is_clean(),
+        violations.is_empty(),
         "self-audit found violations:\n{}",
-        analysis
-            .violations
+        violations
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()

@@ -79,8 +79,7 @@ fn write_hot_path_stubs(t: &TempTree) {
 }
 
 /// A minimal clean workspace: the audited crates exist with panic-free
-/// libraries, memsim carries the hot-path audit's functions as stubs,
-/// plus a zeroed baseline.
+/// libraries, and memsim carries the hot-path audit's functions as stubs.
 fn clean_tree(tag: &str) -> TempTree {
     let t = TempTree::new(tag);
     t.write(
@@ -95,38 +94,61 @@ fn clean_tree(tag: &str) -> TempTree {
         );
     }
     write_hot_path_stubs(&t);
-    t.write(
-        "crates/analyzer/baseline.toml",
-        "[panic_sites]\ncore = 0\ndes = 0\nengine = 0\nmemsim = 0\n",
-    );
     t
 }
 
 fn lints_fired(root: &Path) -> Vec<Lint> {
-    let analysis = odb_analyzer::analyze(root).expect("analysis runs");
-    analysis.violations.iter().map(|v| v.lint).collect()
+    let violations = odb_analyzer::analyze(root).expect("analysis runs");
+    violations.iter().map(|v| v.lint).collect()
+}
+
+fn assert_clean(root: &Path) {
+    let violations = odb_analyzer::analyze(root).expect("analysis runs");
+    assert!(violations.is_empty(), "expected clean, got: {violations:?}");
 }
 
 #[test]
 fn clean_tree_passes() {
     let t = clean_tree("clean");
-    let analysis = odb_analyzer::analyze(&t.root).expect("analysis runs");
-    assert!(
-        analysis.is_clean(),
-        "expected clean, got: {:?}",
-        analysis.violations
-    );
+    assert_clean(&t.root);
 }
 
+/// A tree with no baseline file of any kind still fails on a single
+/// `panic!`: nothing outside the source can excuse a panic site.
 #[test]
-fn seeded_panic_in_lib_trips_baseline() {
-    let t = clean_tree("panic");
+fn missing_baseline_with_sites_trips() {
+    let t = clean_tree("nobase");
+    assert!(!t.root.join("crates/analyzer/baseline.toml").exists());
     t.write(
         "crates/core/src/lib.rs",
-        "//! Doc.\npub fn bad(v: Option<u32>) -> u32 { v.unwrap() }\n",
+        "//! Doc.\npub fn bad() { panic!(\"boom\") }\n",
     );
     let fired = lints_fired(&t.root);
-    assert!(fired.contains(&Lint::PanicBaseline), "fired: {fired:?}");
+    assert_eq!(fired, vec![Lint::Panic], "fired: {fired:?}");
+}
+
+/// Every panic site fails the gate on its own: there is no count to
+/// stay under, so one `unwrap()` or one `panic!` trips it. A
+/// `#[cfg(test)]` field ends at its comma, so the production item after
+/// it is still audited.
+#[test]
+fn seeded_panic_in_lib_trips_baseline() {
+    for (tag, lib) in [
+        (
+            "panic-unwrap",
+            "//! Doc.\npub fn bad(v: Option<u32>) -> u32 { v.unwrap() }\n",
+        ),
+        (
+            "panic-after-test-field",
+            "//! Doc.\npub struct S {\n    #[cfg(test)]\n    probe: u32,\n}\n\
+             pub fn bad(v: Option<u32>) -> u32 { v.unwrap() }\n",
+        ),
+    ] {
+        let t = clean_tree(tag);
+        t.write("crates/core/src/lib.rs", lib);
+        let fired = lints_fired(&t.root);
+        assert_eq!(fired, vec![Lint::Panic], "{tag}");
+    }
 }
 
 #[test]
@@ -140,12 +162,7 @@ fn test_code_and_allow_marker_do_not_trip() {
          #[cfg(test)]\n\
          mod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n",
     );
-    let analysis = odb_analyzer::analyze(&t.root).expect("analysis runs");
-    assert!(
-        analysis.is_clean(),
-        "expected clean, got: {:?}",
-        analysis.violations
-    );
+    assert_clean(&t.root);
 }
 
 #[test]
@@ -166,12 +183,7 @@ fn seeded_unsorted_acquire_trips_lock_order() {
          \x20   ts.sort_by_key(canonical_order);\n\
          \x20   for t in ts { locks.acquire(pid, t); }\n}\n",
     );
-    let analysis = odb_analyzer::analyze(&t2.root).expect("analysis runs");
-    assert!(
-        analysis.is_clean(),
-        "expected clean, got: {:?}",
-        analysis.violations
-    );
+    assert_clean(&t2.root);
 }
 
 #[test]
@@ -204,12 +216,7 @@ fn seeded_raw_time_arithmetic_trips() {
         "crates/des/src/lib.rs",
         "//! Minimal.\npub mod time;\npub fn touch() -> u32 { 1 }\n",
     );
-    let analysis = odb_analyzer::analyze(&t3.root).expect("analysis runs");
-    assert!(
-        analysis.is_clean(),
-        "expected clean, got: {:?}",
-        analysis.violations
-    );
+    assert_clean(&t3.root);
 }
 
 #[test]
@@ -236,12 +243,7 @@ fn seeded_feature_gated_emit_trips_observer_seam() {
          \x20   #[cfg(feature = \"invariants\")]\n\
          \x20   hub.register(Box::new(Checker::default()));\n}\n",
     );
-    let analysis = odb_analyzer::analyze(&t2.root).expect("analysis runs");
-    assert!(
-        analysis.is_clean(),
-        "expected clean, got: {:?}",
-        analysis.violations
-    );
+    assert_clean(&t2.root);
 }
 
 #[test]
@@ -293,24 +295,7 @@ fn seeded_orphan_module_trips() {
         "crates/core/src/found/nested/mod.rs",
         "//! Reachable too.\npub fn f() {}\n",
     );
-    let analysis = odb_analyzer::analyze(&t2.root).expect("analysis runs");
-    assert!(
-        analysis.is_clean(),
-        "expected clean, got: {:?}",
-        analysis.violations
-    );
-}
-
-#[test]
-fn missing_baseline_with_sites_trips() {
-    let t = clean_tree("nobase");
-    fs::remove_file(t.root.join("crates/analyzer/baseline.toml")).expect("remove baseline");
-    t.write(
-        "crates/core/src/lib.rs",
-        "//! Doc.\npub fn bad() { panic!(\"boom\") }\n",
-    );
-    let fired = lints_fired(&t.root);
-    assert!(fired.contains(&Lint::PanicBaseline), "fired: {fired:?}");
+    assert_clean(&t2.root);
 }
 
 #[test]
@@ -340,12 +325,7 @@ fn seeded_hot_path_allocation_trips() {
              \x20   hs.iter_mut().collect()\n}\n",
         ),
     );
-    let analysis = odb_analyzer::analyze(&t2.root).expect("analysis runs");
-    assert!(
-        analysis.is_clean(),
-        "expected clean, got: {:?}",
-        analysis.violations
-    );
+    assert_clean(&t2.root);
 
     // The line escape silences an audited function's allocation.
     let t3 = clean_tree("hotalloc-escape");
@@ -360,12 +340,7 @@ fn seeded_hot_path_allocation_trips() {
              \x20   drop(refs);\n}\n",
         ),
     );
-    let analysis = odb_analyzer::analyze(&t3.root).expect("analysis runs");
-    assert!(
-        analysis.is_clean(),
-        "expected clean, got: {:?}",
-        analysis.violations
-    );
+    assert_clean(&t3.root);
 }
 
 /// An audit entry that reaches no code is itself a violation: a renamed
@@ -374,13 +349,12 @@ fn seeded_hot_path_allocation_trips() {
 #[test]
 fn seeded_stale_hot_path_entries_trip() {
     let stale = |t: &TempTree, path: &str, needle: &str| {
-        let analysis = odb_analyzer::analyze(&t.root).expect("analysis runs");
+        let violations = odb_analyzer::analyze(&t.root).expect("analysis runs");
         assert!(
-            analysis.violations.iter().any(|v| v.lint == Lint::HotPathAlloc
+            violations.iter().any(|v| v.lint == Lint::HotPathAlloc
                 && v.path == path
                 && v.message.contains(needle)),
-            "expected a stale-entry violation for {path} ({needle}), got: {:?}",
-            analysis.violations
+            "expected a stale-entry violation for {path} ({needle}), got: {violations:?}"
         );
     };
 
@@ -405,26 +379,6 @@ fn seeded_stale_hot_path_entries_trip() {
     let t3 = clean_tree("hotstale-file");
     fs::remove_file(t3.root.join("crates/memsim/src/tlb.rs")).expect("remove tlb.rs");
     stale(&t3, "crates/memsim/src/tlb.rs", "does not exist");
-}
-
-#[test]
-fn update_baseline_then_clean() {
-    let t = clean_tree("update");
-    fs::remove_file(t.root.join("crates/analyzer/baseline.toml")).expect("remove baseline");
-    t.write(
-        "crates/core/src/lib.rs",
-        "//! Doc.\npub fn bad(v: Option<u32>) -> u32 { v.unwrap() }\n",
-    );
-    let counts = odb_analyzer::update_baseline(&t.root).expect("baseline written");
-    assert!(counts
-        .iter()
-        .any(|(s, k, c)| s == "panic_sites" && k == "core" && *c == 1));
-    let analysis = odb_analyzer::analyze(&t.root).expect("analysis runs");
-    assert!(
-        analysis.is_clean(),
-        "expected clean after update, got: {:?}",
-        analysis.violations
-    );
 }
 
 /// Smoke-test the actual binary when cargo provides its path (skipped

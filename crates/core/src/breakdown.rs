@@ -7,12 +7,11 @@
 
 use crate::error::Error;
 use crate::metrics::SpaceCounts;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The performance-monitoring events of Table 2, by the alias the paper
 /// uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Event {
     /// Instructions retired.
     Instructions,
@@ -106,7 +105,7 @@ impl fmt::Display for Event {
 }
 
 /// The fixed per-event stall costs of Table 3, in clock cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallCosts {
     /// Base cycles per retired instruction (0.5: the NetBurst core can
     /// retire roughly two instructions per cycle when nothing stalls).
@@ -149,7 +148,7 @@ impl Default for StallCosts {
 }
 
 /// The CPI components of Table 4 / Fig 12.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
     /// Base compute: `instructions × 0.5 / instructions`.
     Inst,
@@ -211,7 +210,7 @@ impl fmt::Display for Component {
 }
 
 /// A computed CPI decomposition for one configuration (one bar of Fig 12).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpiBreakdown {
     /// Base compute component (always `costs.instruction`).
     pub inst: f64,

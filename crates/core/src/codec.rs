@@ -8,9 +8,8 @@
 //! little-endian fixed-width integers, [`f64::to_bits`] for floats
 //! (exact round trip, every NaN payload included), and length-prefixed
 //! UTF-8 strings — no self-describing envelope, no varints, no
-//! reflection. The serde derives on the measurement types are inert in
-//! offline builds (the checked-in stub derives are no-ops), so the
-//! codec is written by hand and pinned by round-trip tests instead.
+//! reflection. The workspace has no serialization framework, so the
+//! codec is written by hand and pinned by round-trip tests.
 //!
 //! Framing, checksums and record tags are the *caller's* concern (see
 //! `odb-experiments`' `journal` module); this module only turns values

@@ -7,7 +7,6 @@
 //! §6.3 varies: cache geometry, bus bandwidth and memory capacity.
 
 use crate::error::Error;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of one set-associative cache level.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(l3.lines(), 16384);
 /// # Ok::<(), odb_core::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     size_bytes: u64,
     line_bytes: u32,
@@ -106,7 +105,7 @@ impl CacheGeometry {
 }
 
 /// Front-side-bus attributes used by the IOQ latency model (§5.2, Fig 16).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusConfig {
     /// Unloaded time, in CPU cycles, for one bus transaction to complete
     /// once it enters the in-order queue (IOQ). The paper measures 102
@@ -147,7 +146,7 @@ impl BusConfig {
 }
 
 /// Disk-array attributes (§3.3: 26 Ultra320 drives on the Xeon machine).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskArrayConfig {
     /// Number of spindles the database is striped over.
     pub disks: u32,
@@ -188,7 +187,7 @@ impl DiskArrayConfig {
 
 /// The system half of the configuration space: processors, frequency,
 /// memory hierarchy, bus and disks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of processors (`P`); the paper studies 1, 2 and 4.
     pub processors: u32,
@@ -365,7 +364,7 @@ impl SystemConfig {
 }
 
 /// The workload half of the configuration space: warehouses and clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkloadConfig {
     /// Number of warehouses (`W`); the cached↔scaled knob (§3.2.1).
     pub warehouses: u32,
@@ -401,7 +400,7 @@ impl WorkloadConfig {
 
 /// A complete OLTP configuration: the `(W, C, P, D)` tuple of §3.2 plus the
 /// machine's microarchitectural attributes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OltpConfig {
     /// Workload parameters (`W`, `C`).
     pub workload: WorkloadConfig,

@@ -9,7 +9,6 @@
 use crate::error::Error;
 use crate::pivot::TwoSegmentFit;
 use crate::regression::mape;
-use serde::{Deserialize, Serialize};
 
 /// Picks the smallest candidate workload size strictly greater than the
 /// pivot — the paper's minimal representative configuration (it picks
@@ -34,7 +33,7 @@ pub fn representative_workload(pivot_x: f64, candidates: &[u32]) -> Option<u32> 
 
 /// Quality report for an extrapolation validated against held-out
 /// measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtrapolationReport {
     /// Mean absolute percentage error across the held-out points.
     pub mape: f64,
@@ -45,7 +44,7 @@ pub struct ExtrapolationReport {
 }
 
 /// Predicts scaled-setup metric values from measurements around the pivot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Extrapolator {
     fit: TwoSegmentFit,
 }

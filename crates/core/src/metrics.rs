@@ -2,15 +2,13 @@
 //! configuration (TPS, IPX, CPI, MPI, utilization, I/O and context-switch
 //! rates), split into user and OS space where the paper splits them.
 
-use serde::{Deserialize, Serialize};
-
 /// Raw event counts attributed to one execution space (user or OS).
 ///
 /// Ratios such as CPI and MPI are always *derived* from counts rather than
 /// stored, so that aggregating spaces (user + OS) remains exact: the total
 /// CPI is total cycles over total instructions, **not** the sum of the
 /// per-space CPIs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpaceCounts {
     /// Instructions retired.
     pub instructions: u64,
@@ -62,7 +60,7 @@ impl SpaceCounts {
 
 /// Disk-traffic rates per committed transaction, in units of 1 KB blocks
 /// (the paper's Fig 7 unit).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IoPerTxn {
     /// Database blocks read from disk, in KB.
     pub read_kb: f64,
@@ -87,7 +85,7 @@ impl IoPerTxn {
 
 /// Everything the paper measures for one `(W, C, P)` configuration:
 /// the row of data behind every figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Number of warehouses (`W`).
     pub warehouses: u32,

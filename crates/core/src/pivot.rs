@@ -9,10 +9,9 @@
 
 use crate::error::Error;
 use crate::regression::LinearFit;
-use serde::{Deserialize, Serialize};
 
 /// The intersection of the cached-region and scaled-region lines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PivotPoint {
     /// Workload size (warehouses) at the transition.
     pub x: f64,
@@ -21,7 +20,7 @@ pub struct PivotPoint {
 }
 
 /// A two-segment piecewise-linear model of a scaling trend.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoSegmentFit {
     /// Fit over the cached (left) region.
     pub cached: LinearFit,

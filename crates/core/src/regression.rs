@@ -5,10 +5,9 @@
 //! building block that [`crate::pivot::TwoSegmentFit`] composes.
 
 use crate::error::Error;
-use serde::{Deserialize, Serialize};
 
 /// A fitted line `y = slope × x + intercept` with goodness-of-fit data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Slope of the fitted line.
     pub slope: f64,

@@ -1,7 +1,5 @@
 //! Labelled `(x, y)` series — the data behind every figure in the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// One labelled data series (e.g. "4P CPI vs warehouses").
 ///
 /// ```
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.xs(), vec![10.0, 100.0]);
 /// assert!(s.is_sorted_by_x());
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Series {
     label: String,
     points: Vec<(f64, f64)>,

@@ -407,7 +407,7 @@ impl BufferCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::seeded::check;
 
     #[test]
     fn hit_after_install() {
@@ -545,38 +545,37 @@ mod tests {
         let _ = BufferCache::new(0);
     }
 
-    proptest! {
-        /// len() never exceeds capacity, dirty_len() never exceeds len(),
-        /// and resident pages always hit, under arbitrary access mixes.
-        #[test]
-        fn invariants_under_random_traffic(
-            ops in proptest::collection::vec((0u64..50, any::<bool>()), 1..400),
-            cap in 1usize..20,
-        ) {
-            let mut c = BufferCache::new(cap);
-            for &(page, write) in &ops {
-                c.access(page, write);
-                prop_assert!(c.len() <= c.capacity());
-                prop_assert!(c.dirty_len() <= c.len());
-                prop_assert!(c.contains(page), "just-accessed page resident");
-                prop_assert!(c.access(page, false).is_hit());
+    /// len() never exceeds capacity, dirty_len() never exceeds len(),
+    /// and resident pages always hit, under arbitrary access mixes.
+    #[test]
+    fn invariants_under_random_traffic() {
+        check("invariants_under_random_traffic", 2_000, |d| {
+            let mut c = BufferCache::new(d.u64_in(1..20) as usize);
+            for _ in 0..d.u64_in(1..400) {
+                let page = d.u64_in(0..50);
+                c.access(page, d.bool());
+                assert!(c.len() <= c.capacity());
+                assert!(c.dirty_len() <= c.len());
+                assert!(c.contains(page), "just-accessed page resident");
+                assert!(c.access(page, false).is_hit());
             }
-        }
+        });
+    }
 
-        /// A working set no larger than capacity never misses once loaded.
-        #[test]
-        fn small_working_set_stays_resident(
-            pages in proptest::collection::vec(0u64..10, 1..50),
-        ) {
+    /// A working set no larger than capacity never misses once loaded.
+    #[test]
+    fn small_working_set_stays_resident() {
+        check("small_working_set_stays_resident", 2_000, |d| {
+            let pages: Vec<u64> = (0..d.u64_in(1..50)).map(|_| d.u64_in(0..10)).collect();
             let mut c = BufferCache::new(10);
             for &p in &pages {
                 c.access(p, false);
             }
             c.reset_stats();
             for &p in &pages {
-                prop_assert!(c.access(p, false).is_hit());
+                assert!(c.access(p, false).is_hit());
             }
-            prop_assert_eq!(c.stats().misses, 0);
-        }
+            assert_eq!(c.stats().misses, 0);
+        });
     }
 }

@@ -63,3 +63,58 @@ pub mod writers;
 
 pub use measure::{OdbSimulator, PhaseSeconds, SimOptions};
 pub use observe::{LatencyObserver, LatencyStats, LogHistogram};
+
+/// Seeded case generation for this crate's property tests.
+///
+/// A property runs a fixed number of cases, one per seed, drawn from a
+/// splitmix64 stream over the ranges the property states. The suite is
+/// therefore deterministic, a failure names the seed that reproduces it,
+/// and no fuzzing dependency is needed.
+#[cfg(test)]
+mod seeded {
+    use std::ops::Range;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// One case's draw stream.
+    pub(crate) struct Draws {
+        state: u64,
+    }
+
+    impl Draws {
+        /// splitmix64: the same mixer `SimOptions::for_point` seeds with.
+        fn next_u64(&mut self) -> u64 {
+            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// A uniform draw from `range`.
+        pub(crate) fn u64_in(&mut self, range: Range<u64>) -> u64 {
+            range.start + self.next_u64() % (range.end - range.start)
+        }
+
+        /// A uniform draw from `range`.
+        pub(crate) fn f64_in(&mut self, range: Range<f64>) -> f64 {
+            let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            range.start + (range.end - range.start) * unit
+        }
+
+        /// A fair coin.
+        pub(crate) fn bool(&mut self) -> bool {
+            self.next_u64() & 1 == 1
+        }
+    }
+
+    /// Checks `property` on seeds `0..cases`; the first failing case
+    /// panics with the property's name and its seed.
+    pub(crate) fn check(name: &str, cases: u64, mut property: impl FnMut(&mut Draws)) {
+        for seed in 0..cases {
+            let mut draws = Draws { state: seed };
+            if catch_unwind(AssertUnwindSafe(|| property(&mut draws))).is_err() {
+                panic!("property `{name}` failed at seed {seed}");
+            }
+        }
+    }
+}

@@ -8,8 +8,6 @@
 //! array and the cache-trace generator all see one consistent address
 //! space.
 
-use serde::{Deserialize, Serialize};
-
 /// Database block size (Oracle-typical 8 KB).
 pub const PAGE_BYTES: u64 = 8 << 10;
 
@@ -29,7 +27,7 @@ pub const ITEMS: u64 = 100_000;
 pub const STOCK_PER_WAREHOUSE: u64 = ITEMS;
 
 /// The tables of the ODB schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Table {
     /// One row per warehouse (hot: every payment updates it).
     Warehouse,
@@ -117,7 +115,7 @@ pub const ITEM_TABLE_PAGES: u64 = 1_280;
 pub type PageId = u64;
 
 /// Whether a page access reads or modifies the block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TouchKind {
     /// Read-only access.
     Read,
@@ -139,7 +137,7 @@ pub enum TouchKind {
 /// assert_eq!(p1, p2, "page map is stable");
 /// assert!(map.total_pages() > 100 * 12_800);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageMap {
     warehouses: u32,
 }
@@ -254,6 +252,7 @@ impl PageMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seeded::check;
 
     #[test]
     fn extents_tile_the_warehouse_without_overlap() {
@@ -360,65 +359,54 @@ mod tests {
         let _ = PageMap::new(0);
     }
 
-    mod properties {
-        // With the offline proptest stub the macro body (and thus every
-        // use of these imports) compiles away.
-        #![allow(unused_imports)]
-        use super::super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Every row-addressed page lands inside its warehouse's
-            /// extent range, for any table, warehouse and row.
-            #[test]
-            fn row_pages_stay_in_warehouse(
-                warehouses in 1u32..1500,
-                warehouse_frac in 0.0f64..1.0,
-                row in 0u64..10_000_000,
-            ) {
-                let map = PageMap::new(warehouses);
-                let warehouse =
-                    ((warehouses as f64 - 1.0) * warehouse_frac) as u32;
-                for table in [
-                    Table::Warehouse,
-                    Table::District,
-                    Table::Customer,
-                    Table::Stock,
-                    Table::Orders,
-                    Table::OrderLine,
-                    Table::NewOrder,
-                    Table::History,
-                ] {
-                    let page = map.row_page(table, warehouse, row);
-                    let base =
-                        ITEM_TABLE_PAGES + warehouse as u64 * PAGES_PER_WAREHOUSE;
-                    prop_assert!(
-                        page >= base && page < base + PAGES_PER_WAREHOUSE,
-                        "{table:?} row {row} -> page {page} outside [{}..{})",
-                        base,
-                        base + PAGES_PER_WAREHOUSE
-                    );
-                }
-                let ix = map.index_page(warehouse, row);
-                let base = ITEM_TABLE_PAGES + warehouse as u64 * PAGES_PER_WAREHOUSE;
-                prop_assert!(ix >= base && ix < base + PAGES_PER_WAREHOUSE);
-                prop_assert!(map.item_page(row) < ITEM_TABLE_PAGES);
-            }
-
-            /// The page map is a pure function: equal inputs, equal pages.
-            #[test]
-            fn page_map_is_deterministic(
-                warehouses in 1u32..200,
-                row in 0u64..1_000_000,
-            ) {
-                let a = PageMap::new(warehouses);
-                let b = PageMap::new(warehouses);
-                prop_assert_eq!(
-                    a.row_page(Table::Stock, 0, row),
-                    b.row_page(Table::Stock, 0, row)
+    /// Every row-addressed page lands inside its warehouse's extent
+    /// range, for any table, warehouse and row.
+    #[test]
+    fn row_pages_stay_in_warehouse() {
+        check("row_pages_stay_in_warehouse", 2_000, |d| {
+            let warehouses = d.u64_in(1..1500) as u32;
+            let warehouse_frac = d.f64_in(0.0..1.0);
+            let row = d.u64_in(0..10_000_000);
+            let map = PageMap::new(warehouses);
+            let warehouse = ((warehouses as f64 - 1.0) * warehouse_frac) as u32;
+            let base = ITEM_TABLE_PAGES + warehouse as u64 * PAGES_PER_WAREHOUSE;
+            for table in [
+                Table::Warehouse,
+                Table::District,
+                Table::Customer,
+                Table::Stock,
+                Table::Orders,
+                Table::OrderLine,
+                Table::NewOrder,
+                Table::History,
+            ] {
+                let page = map.row_page(table, warehouse, row);
+                assert!(
+                    page >= base && page < base + PAGES_PER_WAREHOUSE,
+                    "{table:?} row {row} -> page {page} outside [{}..{})",
+                    base,
+                    base + PAGES_PER_WAREHOUSE
                 );
-                prop_assert_eq!(a.total_pages(), b.total_pages());
             }
-        }
+            let ix = map.index_page(warehouse, row);
+            assert!(ix >= base && ix < base + PAGES_PER_WAREHOUSE);
+            assert!(map.item_page(row) < ITEM_TABLE_PAGES);
+        });
+    }
+
+    /// The page map is a pure function: equal inputs, equal pages.
+    #[test]
+    fn page_map_is_deterministic() {
+        check("page_map_is_deterministic", 2_000, |d| {
+            let warehouses = d.u64_in(1..200) as u32;
+            let row = d.u64_in(0..1_000_000);
+            let a = PageMap::new(warehouses);
+            let b = PageMap::new(warehouses);
+            assert_eq!(
+                a.row_page(Table::Stock, 0, row),
+                b.row_page(Table::Stock, 0, row)
+            );
+            assert_eq!(a.total_pages(), b.total_pages());
+        });
     }
 }

@@ -12,10 +12,9 @@ use crate::schema::{PageId, PageMap, Table, TouchKind, CUSTOMERS_PER_DISTRICT, I
 use odb_memsim::dist::Zipf;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The five ODB transaction types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TxnType {
     /// Enter a customer order (≈45% of the mix).
     NewOrder,
@@ -197,7 +196,7 @@ impl Default for TxnMix {
 /// `Ord` is derived so lock state can live in deterministically ordered
 /// collections; the *acquisition* order remains
 /// [`crate::locks::canonical_order`], which is not the derived order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockTarget {
     /// The block holding all ten district rows of a warehouse; new-order
     /// takes it to advance the order sequence, payment to post district
@@ -210,7 +209,7 @@ pub enum LockTarget {
 }
 
 /// One page access in a transaction's execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageTouch {
     /// The page accessed.
     pub page: PageId,
@@ -223,7 +222,7 @@ pub struct PageTouch {
 }
 
 /// A fully materialized transaction, ready for the DES to execute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transaction {
     /// The transaction's type.
     pub ty: TxnType,
@@ -587,6 +586,7 @@ impl TxnSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seeded::check;
     use rand::SeedableRng;
 
     fn sampler(w: u32) -> TxnSampler {
@@ -760,65 +760,52 @@ mod tests {
         }
     }
 
-    mod properties {
-        // With the offline proptest stub the macro body (and thus every
-        // use of these imports) compiles away.
-        #![allow(unused_imports)]
-        use super::super::*;
-        use proptest::prelude::*;
-        use rand::SeedableRng;
-
-        proptest! {
-            /// Sampled transactions are always well-formed: in-range
-            /// pages, valid lock index, positive instruction budget, and
-            /// locks only on the hot blocks of real warehouses.
-            #[test]
-            fn sampled_transactions_are_well_formed(
-                warehouses in 1u32..600,
-                seed in 0u64..1_000,
-            ) {
-                let mut s = TxnSampler::new(PageMap::new(warehouses)).unwrap();
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let total = s.map().total_pages();
-                for _ in 0..10 {
-                    let t = s.sample(&mut rng);
-                    prop_assert!(t.warehouse < warehouses);
-                    prop_assert!(!t.touches.is_empty());
-                    prop_assert!(t.lock_acquire_index <= t.touches.len());
-                    prop_assert!(t.user_instructions > 100_000);
-                    for touch in &t.touches {
-                        prop_assert!(touch.page < total);
-                    }
-                    for lock in &t.locks {
-                        let w = match lock {
-                            LockTarget::DistrictBlock(w)
-                            | LockTarget::WarehouseBlock(w) => *w,
-                        };
-                        prop_assert!(w < warehouses);
-                    }
-                    // Insert touches are writes by definition.
-                    prop_assert!(t
-                        .touches
-                        .iter()
-                        .filter(|x| x.insert)
-                        .all(|x| x.kind == TouchKind::Write));
-                }
-            }
-
-            /// dirty_pages() is consistent with the touch list.
-            #[test]
-            fn dirty_page_count_matches_touches(seed in 0u64..500) {
-                let mut s = TxnSampler::new(PageMap::new(20)).unwrap();
-                let mut rng = SmallRng::seed_from_u64(seed);
+    /// Sampled transactions are always well-formed: in-range pages,
+    /// valid lock index, positive instruction budget, and locks only on
+    /// the hot blocks of real warehouses.
+    #[test]
+    fn sampled_transactions_are_well_formed() {
+        check("sampled_transactions_are_well_formed", 300, |d| {
+            let warehouses = d.u64_in(1..600) as u32;
+            let mut s = sampler(warehouses);
+            let mut rng = SmallRng::seed_from_u64(d.u64_in(0..1_000));
+            let total = s.map().total_pages();
+            for _ in 0..10 {
                 let t = s.sample(&mut rng);
-                let writes: std::collections::HashSet<u64> = t
+                assert!(t.warehouse < warehouses);
+                assert!(!t.touches.is_empty());
+                assert!(t.lock_acquire_index <= t.touches.len());
+                assert!(t.user_instructions > 100_000);
+                assert!(t.touches.iter().all(|touch| touch.page < total));
+                for lock in &t.locks {
+                    let w = match lock {
+                        LockTarget::DistrictBlock(w) | LockTarget::WarehouseBlock(w) => *w,
+                    };
+                    assert!(w < warehouses);
+                }
+                // Insert touches are writes by definition.
+                assert!(t
                     .touches
                     .iter()
-                    .filter(|x| x.kind == TouchKind::Write)
-                    .map(|x| x.page)
-                    .collect();
-                prop_assert_eq!(t.dirty_pages(), writes.len());
+                    .filter(|x| x.insert)
+                    .all(|x| x.kind == TouchKind::Write));
             }
+        });
+    }
+
+    /// dirty_pages() is consistent with the touch list, for every seed in
+    /// `0..500`.
+    #[test]
+    fn dirty_page_count_matches_touches() {
+        for seed in 0..500 {
+            let t = sampler(20).sample(&mut SmallRng::seed_from_u64(seed));
+            let writes: std::collections::BTreeSet<u64> = t
+                .touches
+                .iter()
+                .filter(|x| x.kind == TouchKind::Write)
+                .map(|x| x.page)
+                .collect();
+            assert_eq!(t.dirty_pages(), writes.len(), "seed {seed}");
         }
     }
 

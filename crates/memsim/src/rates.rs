@@ -8,10 +8,9 @@
 
 use crate::hierarchy::HierarchyCounts;
 use odb_core::breakdown::StallCosts;
-use serde::{Deserialize, Serialize};
 
 /// Events per instruction for one execution space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpaceRates {
     /// Trace-cache misses per instruction.
     pub tc_miss: f64,
@@ -85,7 +84,7 @@ impl SpaceRates {
 }
 
 /// Rates for both spaces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventRates {
     /// User-space rates.
     pub user: SpaceRates,
